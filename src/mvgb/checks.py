@@ -17,7 +17,7 @@ from . import monomial as mono
 from . import tangent as tan
 from . import toric
 from .exactalg import Matrix, rank
-from .monomial import canonical_form_key, ideal_key
+from .monomial import canonical_form, ideal_key
 from .polyring import Ring, parse_monomial, parse_polynomial
 
 __all__ = ["run_all", "CRITERIA", "random_generic_config"]
@@ -271,11 +271,11 @@ def criterion_7_toric_four_cameras(n_max=None):
 
     y1, y2, y3 = (parse_ideal(s) for s in
                   (Y1_STRINGS, Y2_STRINGS, Y3_STRINGS))
-    canon = {i: canonical_form_key(rep) for i, (rep, _) in enumerate(classes)}
-    if [i for i in twelve if canon[i] == canonical_form_key(y1)] != twelve:
+    canon = {i: canonical_form(rep) for i, (rep, _) in enumerate(classes)}
+    if [i for i in twelve if canon[i] == canonical_form(y1)] != twelve:
         ok = False
         details["y1_match"] = False
-    if not any(canon[i] == canonical_form_key(y2) for i in fifteen):
+    if not any(canon[i] == canonical_form(y2) for i in fifteen):
         ok = False
         details["y2_match"] = False
     keyset = {ideal_key(I) for I in ideals}

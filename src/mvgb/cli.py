@@ -98,7 +98,7 @@ def load_ideal(path, n=None):
     ring = Ring(max(n, 2), extended=extended)
     try:
         polys = [parse_polynomial(ring, ln) for ln in lines]
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise InputError(str(exc)) from None
     return gb.ideal(ring, polys)
 
@@ -134,7 +134,10 @@ def parse_order(ring, spec):
         body = body.strip()
         if not (body.startswith("[") and body.endswith("]")):
             raise InputError("weights must be a bracketed list")
-        weights = [Fraction(w.strip()) for w in body[1:-1].split(",")]
+        try:
+            weights = [Fraction(w.strip()) for w in body[1:-1].split(",")]
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InputError("bad weight: %s" % exc) from None
         if len(weights) != ring.nvars:
             raise InputError("need one weight per variable")
         return WeightOrder(ring, weights, tiebreak)
@@ -175,7 +178,10 @@ def cmd_nf(args):
     I = load_ideal(args.file, args.n)
     order = parse_order(I.ring, args.order)
     basis = gb.reduced_groebner_basis(I, order)
-    p = parse_polynomial(I.ring, args.poly)
+    try:
+        p = parse_polynomial(I.ring, args.poly)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(str(exc)) from None
     r = gb.normal_form(p, basis, order)
     _emit({"schema_version": SCHEMA_VERSION,
            "normal_form": format_polynomial(r)})
@@ -199,7 +205,10 @@ def cmd_hilb(args):
     I = load_ideal(args.file, args.n)
     n = I.ring.n
     if args.u:
-        u = tuple(int(x) for x in args.u.split(","))
+        try:
+            u = tuple(int(x) for x in args.u.split(","))
+        except ValueError as exc:
+            raise InputError("bad multidegree: %s" % exc) from None
         if len(u) != n:
             raise InputError("multidegree length must be %d" % n)
         _emit({"schema_version": SCHEMA_VERSION, "u": list(u),

@@ -4,11 +4,22 @@ parameter, and dense matrices with exact determinant, rank and kernel."""
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
-__all__ = ["EpsRational", "Matrix", "det", "rank", "kernel", "inverse", "eps"]
+__all__ = ["EpsRational", "Matrix", "det", "rank", "kernel", "inverse", "eps",
+           "content_scale"]
 
 EPS_NAME = "e"
+
+
+def content_scale(coeffs, lead):
+    """The rational s that turns the rationals coeffs (not all zero) into
+    coprime integers, with s * lead > 0.  For reduced fractions the content
+    is the gcd of the numerators over the lcm of the denominators."""
+    coeffs = list(coeffs)
+    scale = Fraction(lcm(*(c.denominator for c in coeffs)),
+                     gcd(*(c.numerator for c in coeffs)))
+    return scale if lead > 0 else -scale
 
 
 # ---------------------------------------------------------------------------
@@ -43,13 +54,6 @@ def _pmul(a, b):
             for j, y in enumerate(b):
                 out[i + j] += x * y
     return _trim(out)
-
-
-def _pcontent(a):
-    g = 0
-    for x in a:
-        g = gcd(g, abs(x))
-    return g
 
 
 def _pdiv_exact(a, b):
@@ -89,7 +93,7 @@ def _pgcd(a, b):
         return _ppositive(b)
     if not b:
         return _ppositive(a)
-    ca, cb = _pcontent(a), _pcontent(b)
+    ca, cb = gcd(*a), gcd(*b)
     fa = [Fraction(x, ca) for x in a]
     fb = [Fraction(x, cb) for x in b]
     while fb:
@@ -103,11 +107,9 @@ def _pgcd(a, b):
                 fa.pop()
         fa, fb = fb, fa
     # scale fa to a primitive integer polynomial with positive leading coeff
-    den_lcm = 1
-    for x in fa:
-        den_lcm = den_lcm * x.denominator // gcd(den_lcm, x.denominator)
-    ints = [int(x * den_lcm) for x in fa]
-    g = _pcontent(ints)
+    den = lcm(*(x.denominator for x in fa))
+    ints = [int(x * den) for x in fa]
+    g = gcd(*ints)
     prim = _trim(x // g for x in ints)
     return _pmul(_ppositive(prim), (gcd(ca, cb),))
 
@@ -153,10 +155,8 @@ def _coeffs_of(v):
     if isinstance(v, Fraction):
         return (v.numerator,), v.denominator
     if isinstance(v, (tuple, list)):
-        den = 1
         fr = [Fraction(x) for x in v]
-        for x in fr:
-            den = den * x.denominator // gcd(den, x.denominator)
+        den = lcm(*(x.denominator for x in fr))
         return tuple(int(x * den) for x in fr), den
     raise TypeError("cannot build a rational function from %r" % (v,))
 

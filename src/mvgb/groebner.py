@@ -7,9 +7,8 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
-from fractions import Fraction
 
-from .exactalg import EpsRational, _pdiv_exact, _pgcd, _pmul
+from .exactalg import EpsRational, _pdiv_exact, _pgcd, _pmul, content_scale
 from .monomial import MonomialIdeal, standard_monomial_count
 from .polyring import (
     LexOrder, Polynomial, WeightOrder, elimination_order, m_coprime,
@@ -55,22 +54,8 @@ def _content_normalize(terms, key):
             v = _pdiv_exact(v, g)
             out[m] = EpsRational(tuple(-x for x in v) if flip else v)
         return out
-    den = 1
-    num = 0
-    for c in terms.values():
-        den = den * c.denominator // _igcd(den, c.denominator)
-    for c in terms.values():
-        num = _igcd(num, abs(c.numerator * (den // c.denominator)))
-    scale = Fraction(den, num)
-    if terms[lead] < 0:
-        scale = -scale
+    scale = content_scale(terms.values(), terms[lead])
     return {m: c * scale for m, c in terms.items()}
-
-
-def _igcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _prep(terms, key):
@@ -128,6 +113,19 @@ def _spoly(gi, gj, key):
     return s
 
 
+def _chain_skips(G, i, j, treated):
+    """Chain criterion: the pair (i, j) is redundant when some other leading
+    monomial divides lcm(lm_i, lm_j) and both of its pairs with i and with j
+    pass treated (pairs as (smaller, larger) index tuples)."""
+    L = m_lcm(G[i][0], G[j][0])
+    for k, g in enumerate(G):
+        if (k != i and k != j and m_divides(g[0], L)
+                and treated((min(i, k), max(i, k)))
+                and treated((min(j, k), max(j, k)))):
+            return True
+    return False
+
+
 def _buchberger(gen_dicts, order):
     key = order.key
     G = []
@@ -149,21 +147,8 @@ def _buchberger(gen_dicts, order):
     while pairs:
         _, _, i, j = heapq.heappop(pairs)
         pending.discard((i, j))
-        lmi, lmj = G[i][0], G[j][0]
-        if m_coprime(lmi, lmj):
-            continue
-        L = m_lcm(lmi, lmj)
-        skip = False
-        for k in range(len(G)):
-            if k in (i, j):
-                continue
-            if m_divides(G[k][0], L):
-                a = (min(i, k), max(i, k))
-                b = (min(j, k), max(j, k))
-                if a not in pending and b not in pending:
-                    skip = True
-                    break
-        if skip:
+        if m_coprime(G[i][0], G[j][0]) or _chain_skips(
+                G, i, j, lambda pair: pair not in pending):
             continue
         r = _nf_dict(_spoly(G[i], G[j], key), G, key)
         if r:
@@ -349,26 +334,10 @@ def is_groebner_basis(gens, order, use_chain=True):
     for a in range(len(idx)):
         for b in range(a):
             i, j = idx[b], idx[a]
-            lmi, lmj = G[i][0], G[j][0]
-            if m_coprime(lmi, lmj):
-                done.add((min(i, j), max(i, j)))
-                continue
-            if use_chain:
-                L = m_lcm(lmi, lmj)
-                skip = False
-                for k in range(len(G)):
-                    if k in (i, j):
-                        continue
-                    if m_divides(G[k][0], L):
-                        pik = (min(i, k), max(i, k))
-                        pjk = (min(j, k), max(j, k))
-                        if pik in done and pjk in done:
-                            skip = True
-                            break
-                if skip:
-                    done.add((min(i, j), max(i, j)))
-                    continue
-            if _nf_dict(_spoly(G[i], G[j], key), G, key):
+            if (not m_coprime(G[i][0], G[j][0])
+                    and not (use_chain
+                             and _chain_skips(G, i, j, done.__contains__))
+                    and _nf_dict(_spoly(G[i], G[j], key), G, key)):
                 return False, (i, j)
             done.add((min(i, j), max(i, j)))
     return True, None

@@ -10,9 +10,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
+from .exactalg import Matrix, inverse
 from .monomial import (
-    MonomialIdeal, ideal_key, multiview_hilbert_function,
-    standard_count_box, symmetry_orbits,
+    MonomialIdeal, ideal_key, ideal_lines, multiview_hilbert_function,
+    standard_count_box, support_transform, symmetry_orbits,
 )
 from .polyring import Ring, m_from_pairs
 from .tangent import tangent_dimension
@@ -31,24 +32,9 @@ def _standard_profile_counts(n, bound=3):
     C(u_i - 1, k_i - 1); the transform is triangular per coordinate, so the
     profile counts N(k) are determined (and integral).
     """
-    T = [[1 if (u == 0 and k == 0) else
-          (comb(u - 1, k - 1) if 0 < k <= u else 0)
-          for k in range(bound + 1)] for u in range(bound + 1)]
-    # invert the (bound+1) x (bound+1) lower-triangular matrix exactly
+    inv = inverse(Matrix([[Fraction(t) for t in row]
+                          for row in support_transform(bound, bound)])).rows
     size = bound + 1
-    inv = [[Fraction(int(i == j)) for j in range(size)] for i in range(size)]
-    mat = [[Fraction(T[i][j]) for j in range(size)] for i in range(size)]
-    for c in range(size):
-        piv = mat[c][c]
-        for j in range(size):
-            mat[c][j] /= piv
-            inv[c][j] /= piv
-        for r in range(size):
-            if r != c and mat[r][c]:
-                f = mat[r][c]
-                for j in range(size):
-                    mat[r][j] -= f * mat[c][j]
-                    inv[r][j] -= f * inv[c][j]
     phi = {}
     for k in itertools.product(range(size), repeat=n):
         total = Fraction(0)
@@ -68,8 +54,7 @@ def _standard_profile_counts(n, bound=3):
 def _census_tables(n):
     ring = Ring(n)
     nv = 3 * n
-    blocks = [[ring.var(L, i) for L in ("x", "y", "z")]
-              for i in range(1, n + 1)]
+    blocks = ring.blocks()
     supports = list(range(1 << nv))
     profile_of = []
     for S in supports:
@@ -215,6 +200,5 @@ def census(n, tangent=False):
 
 def census_hash(ideals):
     """Content hash of the canonically serialized census."""
-    from .monomial import ideal_lines
     text = "\n".join(", ".join(ideal_lines(I)) for I in ideals)
     return hashlib.sha256(text.encode()).hexdigest()

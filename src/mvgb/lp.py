@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-__all__ = ["feasible_point", "strict_separator"]
+__all__ = ["feasible_point"]
 
 
 def _phase_one(A, b):
@@ -107,8 +107,3 @@ def feasible_point(equalities, inequalities, dim):
     if x is None:
         return None
     return [x[i] - x[dim + i] for i in range(dim)]
-
-
-def strict_separator(rows, dim):
-    """A point y with r . y >= 1 for every row, scaling to r . y > 0."""
-    return feasible_point([], rows, dim)

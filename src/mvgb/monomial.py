@@ -7,7 +7,6 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
 from .polyring import (
@@ -17,10 +16,11 @@ from .polyring import (
 
 __all__ = [
     "MonomialIdeal", "generic_initial_ideal", "collinear_initial_ideal",
-    "multiview_hilbert_function", "standard_monomial_count",
-    "standard_count_box", "minimal_primes", "multidegree_support",
-    "is_borel_fixed", "FacetComplex", "stanley_reisner_complex", "is_shelling",
-    "generic_shelling_order", "relabel", "symmetry_orbits", "ideal_key",
+    "multiview_hilbert_function", "standard_monomials",
+    "standard_monomial_count", "standard_count_box", "minimal_primes",
+    "multidegree_support", "is_borel_fixed", "FacetComplex",
+    "stanley_reisner_complex", "is_shelling", "generic_shelling_order",
+    "relabel", "symmetry_orbits", "ideal_key",
 ]
 
 
@@ -142,24 +142,27 @@ def multiview_hilbert_function(n, u):
 # ---------------------------------------------------------------------------
 # standard monomial counting
 
-def _blocks(ring):
-    return [[ring.var(L, i) for L in ring.letters]
-            for i in range(1, ring.n + 1)]
-
-
-def _block_monomials(block, d):
-    """All exponent tuples of total degree d on the given block variables."""
+def standard_monomials(I, u):
+    """All monomials of multidegree u outside the ideal."""
+    ring = I.ring
+    if len(u) != ring.n:
+        raise ValueError("multidegree length mismatch")
     out = []
+    for parts in itertools.product(*[
+            itertools.combinations_with_replacement(b, d)
+            for b, d in zip(ring.blocks(), u)]):
+        m = m_from_pairs((v, 1) for part in parts for v in part)
+        if m not in I:
+            out.append(m)
+    return out
 
-    def rec(idx, rem, acc):
-        if idx == len(block) - 1:
-            out.append(acc + [(block[idx], rem)] if rem else list(acc))
-            return
-        for e in range(rem + 1):
-            rec(idx + 1, rem - e, acc + ([(block[idx], e)] if e else []))
 
-    rec(0, d, [])
-    return [m_from_pairs(p) for p in out]
+def support_transform(bound, size):
+    """T[u][k] = C(u-1, k-1): the number of monomials of degree u on a block
+    whose support is one given set of k variables (T[0][0] = 1), for
+    u <= bound and k <= size."""
+    return [[comb(u - 1, k - 1) if u and k else int(u == k)
+             for k in range(size + 1)] for u in range(bound + 1)]
 
 
 def standard_monomial_count(I, u):
@@ -167,30 +170,16 @@ def standard_monomial_count(I, u):
     ring = I.ring
     if len(u) != ring.n:
         raise ValueError("multidegree length mismatch")
-    blocks = _blocks(ring)
     if not I.is_squarefree():
-        count = 0
-        for combo in itertools.product(
-                *[_block_monomials(b, d) for b, d in zip(blocks, u)]):
-            m = m_one
-            for part in combo:
-                m = m_mul(m, part)
-            if m not in I:
-                count += 1
-        return count
+        return len(standard_monomials(I, u))
     gen_masks = I.support_masks()
     total = 0
     choices = []
-    for b, d in zip(blocks, u):
-        opts = []
-        if d == 0:
-            opts.append((0, 1))
-        else:
-            for k in range(1, min(len(b), d) + 1):
-                ways = comb(d - 1, k - 1)
-                for sub in itertools.combinations(b, k):
-                    opts.append((sum(1 << v for v in sub), ways))
-        choices.append(opts)
+    for b, d in zip(ring.blocks(), u):
+        ways = support_transform(d, len(b))[d]
+        choices.append([(sum(1 << v for v in sub), ways[k])
+                        for k in range(len(b) + 1) if ways[k]
+                        for sub in itertools.combinations(b, k)])
 
     def rec(idx, mask, ways):
         nonlocal total
@@ -214,7 +203,7 @@ def standard_count_box(I, bound=3):
     ring = I.ring
     if not I.is_squarefree():
         raise ValueError("box counting requires squarefree generators")
-    blocks = _blocks(ring)
+    blocks = ring.blocks()
     gen_masks = I.support_masks()
     n = ring.n
     bsz = len(blocks[0])
@@ -238,9 +227,7 @@ def standard_count_box(I, bound=3):
 
     rec(0, 0, [])
     # contract the size-count tensor against T[u][k] = C(u-1, k-1) per axis
-    T = [[1 if (u == 0 and k == 0) else
-          (comb(u - 1, k - 1) if 0 < k <= u else 0)
-          for k in range(bsz + 1)] for u in range(bound + 1)]
+    T = support_transform(bound, bsz)
     table = dict(size_counts)
     for axis in range(n):
         new = {}
@@ -364,8 +351,8 @@ class FacetComplex:
 
 def _facet_label(ring, facet):
     dims = []
-    for i in range(1, ring.n + 1):
-        k = sum(1 for L in ring.letters if ring.var(L, i) in facet)
+    for b in ring.blocks():
+        k = sum(1 for v in b if v in facet)
         if k:
             dims.append(k - 1)
     pos = sorted(d for d in dims if d > 0)
@@ -454,24 +441,6 @@ def relabel(I, camera_perm, letter_perms):
     return MonomialIdeal(ring, new_gens)
 
 
-def _group_generators(n):
-    """Generators of the wreath-type action: adjacent camera swaps and the
-    per-camera letter transpositions (x y) and (y z)."""
-    idl = tuple(range(n))
-    idp = tuple((0, 1, 2) for _ in range(n))
-    gens = []
-    for c in range(n - 1):
-        perm = list(idl)
-        perm[c], perm[c + 1] = perm[c + 1], perm[c]
-        gens.append((tuple(perm), idp))
-    for c in range(n):
-        for swap in ((1, 0, 2), (0, 2, 1)):
-            lp = list(idp)
-            lp[c] = swap
-            gens.append((idl, tuple(lp)))
-    return gens
-
-
 _VAR_PERM_CACHE = {}
 
 
@@ -493,42 +462,26 @@ def _group_var_perms(n):
     return got
 
 
-def canonical_form_key(I):
-    """Lexicographically minimal serialized image over the whole group."""
+def canonical_form(I):
+    """The lexicographically minimal serialized image of the ideal over the
+    whole group, and the size of its orbit (the number of distinct images)."""
     group = _group_var_perms(I.ring.n)
     if I.is_squarefree():
-        if len(group) > 1000 and I.gens:
-            return ("sf", _canonical_masks_vectorized(I, group))
-        masks = I.support_masks()
-        best = None
-        for perm in group:
-            img = []
-            for mask in masks:
-                nm = 0
-                while mask:
-                    b = mask & -mask
-                    nm |= 1 << perm[b.bit_length() - 1]
-                    mask ^= b
-                img.append(nm)
-            img.sort()
-            key = tuple(img)
-            if best is None or key < best:
-                best = key
-        return ("sf", best)
-    best = None
-    for perm in group:
-        img = sorted(tuple(sorted((perm[v], e) for v, e in g))
-                     for g in I.gens)
-        key = tuple(img)
-        if best is None or key < best:
-            best = key
-    return ("gen", best)
+        if not I.gens:
+            return ("sf", ()), 1
+        key, size = _canonical_masks_vectorized(I, group)
+        return ("sf", key), size
+    images = {tuple(sorted(tuple(sorted((perm[v], e) for v, e in g))
+                           for g in I.gens))
+              for perm in group}
+    return ("gen", min(images)), len(images)
 
 
 _POWER_PERM_CACHE = {}
 
 
 def _canonical_masks_vectorized(I, group):
+    """Squarefree case of canonical_form, on the generator support masks."""
     import numpy as np
 
     nv = I.ring.nvars
@@ -543,8 +496,12 @@ def _canonical_masks_vectorized(I, group):
             B[gi, v] = 1
     masks = B @ pp                 # (gens, |G|) remapped support masks
     masks.sort(axis=0)
-    order = np.lexsort(masks[::-1])
-    return tuple(int(x) for x in masks[:, order[0]])
+    best = masks[:, np.lexsort(masks[::-1])[0]]
+    # orbit-stabilizer: the orbit has |G| / #{g : g(I) = I} elements
+    own = np.array(sorted(I.support_masks()), dtype=np.int64)
+    fixed = masks[:, masks[0] == own[0]]
+    stabilizer = int((fixed == own[:, None]).all(axis=0).sum())
+    return tuple(int(x) for x in best), len(group) // stabilizer
 
 
 def symmetry_orbits(ideals, strict=False):
@@ -554,22 +511,19 @@ def symmetry_orbits(ideals, strict=False):
     Membership in one orbit is decided by the whole-group canonical form, so
     ideals related only through images outside the input set still land in
     one class.  With strict=True the input set must be closed under the
-    action.  Returns (representative, members) pairs sorted by representative
-    key; the representative is the member with the smallest key.
+    action: each class must hold as many distinct ideals as its orbit has.
+    Returns (representative, members) pairs sorted by representative key;
+    the representative is the member with the smallest key.
     """
-    ideals = list(ideals)
-    if not ideals:
-        return []
-    ring = ideals[0].ring
-    if strict:
-        index = {ideal_key(I) for I in ideals}
-        for I in ideals:
-            for cp, lp in _group_generators(ring.n):
-                if ideal_key(relabel(I, cp, lp)) not in index:
-                    raise ValueError("ideal set is not closed under the action")
     groups = {}
+    sizes = {}
     for I in ideals:
-        groups.setdefault(canonical_form_key(I), []).append(I)
+        key, size = canonical_form(I)
+        groups.setdefault(key, []).append(I)
+        sizes[key] = size
+    if strict and any(len({ideal_key(I) for I in members}) != sizes[key]
+                      for key, members in groups.items()):
+        raise ValueError("ideal set is not closed under the action")
     orbits = []
     for members in groups.values():
         ms = sorted(members, key=ideal_key)

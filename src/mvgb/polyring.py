@@ -12,13 +12,13 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .exactalg import EpsRational
+from .exactalg import EpsRational, content_scale
 
 __all__ = [
     "Ring", "Polynomial", "LexOrder", "WeightOrder", "GrevlexOrder",
-    "MatrixOrder", "block_order", "elimination_order", "multidegree",
-    "compare", "leading_term", "parse_polynomial", "format_polynomial",
-    "parse_monomial", "format_monomial", "canonical_string",
+    "MatrixOrder", "block_order", "elimination_order", "parse_polynomial",
+    "format_polynomial", "parse_monomial", "format_monomial",
+    "canonical_string",
 ]
 
 _BASE_LETTERS = ("x", "y", "z")
@@ -70,6 +70,12 @@ class Ring:
 
     def name(self, v):
         return self._names[v]
+
+    def blocks(self):
+        """The variables of each camera: one list per camera, in letter
+        order."""
+        return [[self.var(L, i) for L in self.letters]
+                for i in range(1, self.n + 1)]
 
     def index(self, name):
         return self._index[name]
@@ -162,16 +168,6 @@ def m_lcm(a, b):
     return tuple(sorted(acc.items()))
 
 
-def m_gcd(a, b):
-    db = dict(b)
-    out = []
-    for v, e in a:
-        f = min(e, db.get(v, 0))
-        if f:
-            out.append((v, f))
-    return tuple(out)
-
-
 def m_coprime(a, b):
     vb = {v for v, _ in b}
     return not any(v in vb for v, _ in a)
@@ -190,10 +186,6 @@ def m_exp(a, v):
 
 def m_squarefree(a):
     return all(e == 1 for _, e in a)
-
-
-def m_support(a):
-    return frozenset(v for v, _ in a)
 
 
 # ---------------------------------------------------------------------------
@@ -494,19 +486,6 @@ class Polynomial:
         return "Polynomial(%s)" % format_polynomial(self)
 
 
-def multidegree(ring, mono):
-    return ring.multidegree(mono)
-
-
-def compare(order, a, b):
-    """-1, 0 or 1 comparing monomials under the given term order."""
-    return order.compare(a, b)
-
-
-def leading_term(order, p):
-    return p.leading_term(order)
-
-
 # ---------------------------------------------------------------------------
 # text format: signed rational coefficients, '*'-separated variable powers
 
@@ -564,22 +543,7 @@ def canonical_string(p):
     lc, _ = p.leading_term(block_order(p.ring))
     if p.domain() == "Q(e)":
         return format_polynomial(p.map_coefficients(lambda c: c / lc))
-    den = 1
-    for c in p.terms.values():
-        den = den * c.denominator // _gcd(den, c.denominator)
-    num = 0
-    for c in p.terms.values():
-        num = _gcd(num, abs(c.numerator * den // c.denominator))
-    scale = Fraction(den, num)
-    if lc < 0:
-        scale = -scale
-    return format_polynomial(p * scale)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+    return format_polynomial(p * content_scale(p.terms.values(), lc))
 
 
 def parse_monomial(ring, text):

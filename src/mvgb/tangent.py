@@ -7,40 +7,13 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .monomial import collinear_initial_ideal
-from .polyring import (
-    Ring, m_div, m_from_pairs, m_lcm, m_mul, m_one,
-    block_order,
-)
+from .monomial import collinear_initial_ideal, standard_monomials
+from .polyring import Ring, m_div, m_from_pairs, m_lcm, m_mul
 
 __all__ = [
     "tangent_dimension", "standard_monomials", "collinear_tangent_maps",
     "verify_collinear_tangent_basis",
 ]
-
-
-def standard_monomials(I, u):
-    """All monomials of multidegree u outside the ideal."""
-    ring = I.ring
-    blocks = [[ring.var(L, i) for L in ring.letters]
-              for i in range(1, ring.n + 1)]
-
-    def block_monos(b, d):
-        out = []
-        for split in itertools.combinations_with_replacement(range(len(b)), d):
-            pairs = [(b[v], split.count(v)) for v in set(split)]
-            out.append(m_from_pairs(pairs))
-        return out if d else [m_one]
-
-    result = []
-    for combo in itertools.product(*[block_monos(b, d)
-                                     for b, d in zip(blocks, u)]):
-        m = m_one
-        for f in combo:
-            m = m_mul(m, f)
-        if m not in I:
-            result.append(m)
-    return result
 
 
 def _exp_diff(m, g):
@@ -93,7 +66,6 @@ def _tangent_blocks(I):
     """Group the unknowns phi(g) = c * g*x^d by the exponent shift d; the
     syzygy constraints never couple distinct shifts."""
     gens = list(I.gens)
-    order = block_order(I.ring)
     blocks = {}
     std_cache = {}
     for gi, g in enumerate(gens):

@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import gcd
 
 from .cameras import toric_cameras
-from .exactalg import Matrix, kernel
+from .exactalg import Matrix, content_scale, kernel
 from .groebner import (
     IdealPresentation, ideal, minimal_generators, reduced_groebner_basis,
 )
@@ -66,14 +66,8 @@ def lattice_kernel_basis(matrix):
     """Primitive integer vectors spanning the rational kernel."""
     basis = []
     for v in kernel(matrix):
-        den = 1
-        for x in v:
-            den = den * x.denominator // gcd(den, x.denominator)
-        ints = [int(x * den) for x in v]
-        g = 0
-        for x in ints:
-            g = gcd(g, abs(x))
-        basis.append([x // (g or 1) for x in ints])
+        scale = content_scale(v, 1)
+        basis.append([int(x * scale) for x in v])
     return basis
 
 
@@ -136,9 +130,7 @@ class GFanNode:
 
 
 def _primitive(vec):
-    g = 0
-    for x in vec:
-        g = gcd(g, abs(x))
+    g = gcd(*vec)
     if g == 0:
         return None
     return tuple(x // g for x in vec)
@@ -246,9 +238,7 @@ def mixed_subdivision(I):
     if not I.is_squarefree():
         raise ValueError("mixed subdivision requires a squarefree ideal")
     fc = stanley_reisner_complex(I)
-    ring = I.ring
-    blocks = [[ring.var(L, i) for L in ring.letters]
-              for i in range(1, ring.n + 1)]
+    blocks = I.ring.blocks()
 
     def block_sizes(f):
         return [sum(1 for v in b if v in f) for b in blocks]

@@ -121,6 +121,21 @@ def test_input_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["gb", "--order", "weight:[1,a]"],
+    ["gb", "--order", "weight:[1/0,1,1,1,1,1]"],
+    ["hilb", "--u", "1,x"],
+    ["nf", "--poly", "x1*q3"],
+    ["nf", "--poly", "1/0*x1"],
+])
+def test_malformed_options_exit_2(tmp_path, capsys, argv):
+    path = tmp_path / "f"
+    path.write_text("x1*y2 - x2*y1\n")
+    assert main([argv[0], str(path)] + argv[1:]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_determinism(tmp_path, capsys):
     path = tmp_path / "i.txt"
     path.write_text("x1*y2 - x2*y1\nx1*z2 - 2*x2*z1\n")

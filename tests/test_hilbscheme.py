@@ -42,8 +42,8 @@ def test_two_camera_census_tangent_dimensions():
 
 
 @pytest.mark.slow
-def test_three_camera_census():
-    res = census(3)
+def test_three_camera_census(census3):
+    res = census3
     assert res.counts == {"ideals": 13824, "classes": 16}
     assert sum(len(m) for _, m in res.orbits) == 13824
     assert census_hash(res.ideals) == CENSUS3_SHA256
@@ -60,7 +60,7 @@ def test_unique_borel_member_two_cameras():
 
 
 @pytest.mark.slow
-def test_box_counts_determine_larger_multidegrees():
+def test_box_counts_determine_larger_multidegrees(census3):
     import itertools
     import random
 
@@ -68,7 +68,7 @@ def test_box_counts_determine_larger_multidegrees():
         standard_monomial_count
 
     rng = random.Random(7)
-    ideals = monomial_ideal_census(3)
+    ideals = census3.ideals
     for I in rng.sample(ideals, 100):
         for _ in range(50):
             u = tuple(rng.randint(0, 6) for _ in range(3))

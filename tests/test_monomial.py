@@ -3,12 +3,13 @@ from math import comb
 
 import pytest
 
+from mvgb.hilbscheme import monomial_ideal_census
 from mvgb.monomial import (
-    MonomialIdeal, collinear_initial_ideal, generic_initial_ideal,
-    generic_shelling_order, ideal_key, is_borel_fixed, is_shelling,
-    minimal_primes, multidegree_support, multiview_hilbert_function, relabel,
-    standard_count_box, standard_monomial_count, stanley_reisner_complex,
-    symmetry_orbits,
+    MonomialIdeal, canonical_form, collinear_initial_ideal,
+    generic_initial_ideal, generic_shelling_order, ideal_key, is_borel_fixed,
+    is_shelling, minimal_primes, multidegree_support,
+    multiview_hilbert_function, relabel, standard_count_box,
+    standard_monomial_count, stanley_reisner_complex, symmetry_orbits,
 )
 from mvgb.polyring import Ring, m_mul, m_one, parse_monomial
 
@@ -220,6 +221,14 @@ def test_relabel_and_orbits():
     # the two ideals are related through ideals outside the input set
     merged = symmetry_orbits([M3, img2])
     assert len(merged) == 1
+    # census(2) is one orbit of nine ideals: closed as a whole, not closed
+    # with one member dropped or replaced by a duplicate of another
+    two = monomial_ideal_census(2)
+    assert len(symmetry_orbits(two, strict=True)) == 1
+    for broken in (two[1:], [two[1]] + two[1:]):
+        with pytest.raises(ValueError):
+            symmetry_orbits(broken, strict=True)
+    assert canonical_form(MonomialIdeal(Ring(2), [])) == (("sf", ()), 1)
 
 
 def test_orbit_of_bilinear_ideals():

@@ -122,17 +122,16 @@ def test_block_method_matches_dense_oracle():
 
 
 @pytest.mark.slow
-def test_census3_tangent_dimensions_match_dense_oracle():
+def test_census3_tangent_dimensions_match_dense_oracle(census3):
     """Evidence for the three-camera tangent distribution: the block method,
     the triple-constraint variant and the dense oracle agree on every class
     representative; every member of a class below 18 and three seeded
     members of each other class read their class's value."""
     from mvgb.checks import CENSUS3_TANGENT_DISTRIBUTION
-    from mvgb.hilbscheme import census
 
     rng = random.Random(10)
     dist = Counter()
-    for rep, members in census(3).orbits:
+    for rep, members in census3.orbits:
         d = tangent_dimension(rep)
         assert tangent_dimension_with_triples(rep) == d
         assert brute_tangent_dimension(rep) == d
