@@ -211,10 +211,14 @@ def cmd_hilb(args):
             raise InputError("bad multidegree: %s" % exc) from None
         if len(u) != n:
             raise InputError("multidegree length must be %d" % n)
+        if min(u) < 0:
+            raise InputError("multidegree entries must be non-negative")
         _emit({"schema_version": SCHEMA_VERSION, "u": list(u),
                "value": gb.hilbert_value(I, u)})
         return 0
     bound = args.box
+    if bound < 0:
+        raise InputError("--box must be non-negative")
     init = gb.initial_ideal(I)
     if init.is_squarefree():
         table = mono.standard_count_box(init, bound)

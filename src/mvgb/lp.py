@@ -1,85 +1,96 @@
 """Exact rational linear programming, just enough for cone facet detection:
-phase-one simplex deciding feasibility of mixed equality/inequality systems."""
+phase-one simplex deciding feasibility of mixed equality/inequality systems.
+
+The tableau is fraction-free: every row is held as integers, a positive
+multiple of the rational tableau row it stands for.  Positive scaling keeps
+every sign and every ratio, so the pivots are exactly Bland's pivots of the
+rational simplex and the point read off at the end is the same."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 __all__ = ["feasible_point"]
 
 
-def _phase_one(A, b):
+def _primitive_row(row):
+    """The row divided by the gcd of its entries (a positive number)."""
+    g = gcd(*row)
+    if g > 1:
+        return [v // g for v in row]
+    return row
+
+
+def _phase_one(A, b, ncols):
     """Solve A x = b, x >= 0 by minimizing artificial variables.
 
-    Rows are normalized to b >= 0 first.  Returns x (length = columns of A)
-    or None when infeasible.  Bland's rule guarantees termination.
+    A has ncols columns with int or Fraction entries.  Each row of [A | b]
+    is scaled once by the lcm of its denominators, negated when b < 0.
+    Returns x (ncols Fraction entries) or None when infeasible.  Bland's
+    rule guarantees termination.
     """
     m = len(A)
-    if m == 0:
-        return []
-    ncols = len(A[0])
-    rows = []
-    rhs = []
-    for i in range(m):
-        r = [Fraction(v) for v in A[i]]
-        bv = Fraction(b[i])
-        if bv < 0:
-            r = [-v for v in r]
-            bv = -bv
-        rows.append(r)
-        rhs.append(bv)
-    # tableau with artificial identity appended
     total = ncols + m
-    for i in range(m):
-        rows[i] += [Fraction(int(j == i)) for j in range(m)]
+    # rows are [A_i | artificials | b_i]; the artificial entry of row i is
+    # its scale factor, the rational tableau's 1 times that factor
+    rows = []
+    scales = []
+    for i, (row, bi) in enumerate(zip(A, b)):
+        # unpack the distinct denominators (usually just 1), not the row
+        d = lcm(bi.denominator, *{v.denominator for v in row})
+        s = -d if bi < 0 else d
+        r = [(v * s).numerator for v in row] + [0] * m + [(bi * s).numerator]
+        r[ncols + i] = d
+        rows.append(r)
+        scales.append(d)
     basis = [ncols + i for i in range(m)]
-    # cost row for sum of artificials, reduced against the artificial basis
-    cost = [Fraction(0)] * total
-    z = Fraction(0)
-    for i in range(m):
-        for j in range(total):
-            cost[j] -= rows[i][j]
-        z -= rhs[i]
-    # artificial columns start with cost 1 - 1 = 0 already via reduction
-    for j in range(ncols, total):
-        cost[j] += 1
+    # cost row for the sum of artificials, reduced against the artificial
+    # basis: minus the sum of the rational rows, times the lcm of the scales
+    # (the artificial entries cancel to zero)
+    L = lcm(*scales)
+    cost = [0] * (total + 1)
+    for r, d in zip(rows, scales):
+        f = L // d
+        for j in range(ncols):
+            cost[j] -= f * r[j]
+        cost[total] -= f * r[total]
+    cost = _primitive_row(cost)
     while True:
         enter = next((j for j in range(total) if cost[j] < 0), None)
         if enter is None:
             break
-        ratio = None
         leave = None
-        for i in range(m):
-            if rows[i][enter] > 0:
-                r = rhs[i] / rows[i][enter]
-                if ratio is None or r < ratio or \
-                        (r == ratio and basis[i] < basis[leave]):
-                    ratio = r
+        for i, r in enumerate(rows):
+            a = r[enter]
+            if a > 0:
+                if leave is None:
+                    leave = i
+                    continue
+                # rhs_i / a < rhs_leave / a_leave, cross-multiplied
+                lhs = r[total] * rows[leave][enter]
+                rhs = rows[leave][total] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
             return None  # unbounded phase-one cannot happen, defensive
-        piv = rows[leave][enter]
-        prow = [v / piv if v else v for v in rows[leave]]
-        rows[leave] = prow
-        rhs[leave] /= piv
-        for i in range(m):
-            if i != leave:
-                f = rows[i][enter]
-                if f:
-                    rows[i] = [v - f * w if w else v
-                               for v, w in zip(rows[i], prow)]
-                    rhs[i] -= f * rhs[leave]
+        prow = rows[leave]
+        piv = prow[enter]
+        for i, r in enumerate(rows):
+            f = r[enter]
+            if i != leave and f:
+                rows[i] = _primitive_row([piv * v - f * w
+                                          for v, w in zip(r, prow)])
         f = cost[enter]
-        if f:
-            cost = [v - f * w if w else v for v, w in zip(cost, prow)]
-            z -= f * rhs[leave]
+        cost = _primitive_row([piv * v - f * w for v, w in zip(cost, prow)])
         basis[leave] = enter
-    if z != 0:
+    # the cost row's right-hand side is minus the artificial sum
+    if cost[total]:
         return None
     x = [Fraction(0)] * ncols
     for i, bv in enumerate(basis):
         if bv < ncols:
-            x[bv] = rhs[i]
+            x[bv] = Fraction(rows[i][total], rows[i][bv])
     return x
 
 
@@ -88,22 +99,21 @@ def feasible_point(equalities, inequalities, dim):
     for all inequality rows, or None.
 
     Free variables are split into positive and negative parts; inequality
-    rows get surplus variables.
+    rows get surplus variables.  Rows may hold int or Fraction entries; the
+    point is a list of Fraction.
     """
     nge = len(inequalities)
     A = []
     b = []
     for r in equalities:
-        A.append([Fraction(v) for v in r] + [-Fraction(v) for v in r]
-                 + [Fraction(0)] * nge)
-        b.append(Fraction(0))
+        A.append(list(r) + [-v for v in r] + [0] * nge)
+        b.append(0)
     for k, r in enumerate(inequalities):
-        surplus = [Fraction(0)] * nge
-        surplus[k] = Fraction(-1)
-        A.append([Fraction(v) for v in r] + [-Fraction(v) for v in r]
-                 + surplus)
-        b.append(Fraction(1))
-    x = _phase_one(A, b)
+        surplus = [0] * nge
+        surplus[k] = -1
+        A.append(list(r) + [-v for v in r] + surplus)
+        b.append(1)
+    x = _phase_one(A, b, 2 * dim + nge)
     if x is None:
         return None
     return [x[i] - x[dim + i] for i in range(dim)]

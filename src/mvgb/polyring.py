@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 
 from .exactalg import EpsRational, content_scale
 
@@ -191,6 +192,14 @@ def m_squarefree(a):
 # ---------------------------------------------------------------------------
 # term orders
 
+def _integer_weights(row):
+    """The weight row times the lcm of its denominators.  A positive
+    multiple orders monomials the same way, and its keys are int sums."""
+    row = [Fraction(w) for w in row]
+    d = lcm(*{w.denominator for w in row})
+    return tuple((w * d).numerator for w in row)
+
+
 class TermOrder:
     __slots__ = ("ring", "_cache")
 
@@ -239,14 +248,15 @@ class LexOrder(TermOrder):
 
 
 class WeightOrder(TermOrder):
-    """Weight vector order refined by a lexicographic tiebreak."""
+    """Weight vector order refined by a lexicographic tiebreak.  The weights
+    are held as integers, scaled by the lcm of their denominators."""
 
     __slots__ = ("weights", "tiebreak")
 
     def __init__(self, ring, weights, tiebreak=None):
         self.ring = ring
         self._cache = {}
-        weights = tuple(Fraction(w) for w in weights)
+        weights = _integer_weights(weights)
         if len(weights) != ring.nvars:
             raise ValueError("one weight per variable required")
         self.weights = weights
@@ -282,14 +292,15 @@ class GrevlexOrder(TermOrder):
 
 
 class MatrixOrder(TermOrder):
-    """Order by successive weight rows, with a final lexicographic tiebreak."""
+    """Order by successive weight rows, with a final lexicographic tiebreak.
+    Each row is held as integers, scaled by the lcm of its denominators."""
 
     __slots__ = ("rows", "tiebreak")
 
     def __init__(self, ring, rows, tiebreak=None):
         self.ring = ring
         self._cache = {}
-        self.rows = tuple(tuple(Fraction(w) for w in row) for row in rows)
+        self.rows = tuple(_integer_weights(row) for row in rows)
         self.tiebreak = tiebreak if tiebreak is not None else LexOrder(ring)
 
     def _key(self, m):

@@ -176,7 +176,7 @@ def enumerate_initial_ideals(I, kernel_rows=None, node_cap=None):
         node_cap = int(os.environ.get(NODE_CAP_ENV, "0")) or None
     dim = len(kernel_rows) if kernel_rows is not None else ring.nvars
     start_order = block_order(ring)
-    ones = [Fraction(1)] * ring.nvars
+    ones = [1] * ring.nvars
 
     def expand(node):
         vecs = {}
@@ -198,12 +198,12 @@ def enumerate_initial_ideals(I, kernel_rows=None, node_cap=None):
                 continue
             if kernel_rows is None:
                 w0 = y0
-                wneg = [-Fraction(x) for x in cj]
+                wneg = [-x for x in cj]
             else:
-                w0 = [sum(Fraction(kernel_rows[r][k]) * y0[r]
-                          for r in range(dim)) for k in range(ring.nvars)]
-                wneg = [-sum(Fraction(kernel_rows[r][k]) * cj[r]
-                             for r in range(dim)) for k in range(ring.nvars)]
+                w0 = [sum(kernel_rows[r][k] * y0[r] for r in range(dim))
+                      for k in range(ring.nvars)]
+                wneg = [-sum(kernel_rows[r][k] * cj[r] for r in range(dim))
+                        for k in range(ring.nvars)]
             order = MatrixOrder(ring, [ones, w0, wneg])
             gb = I.reduced_basis(order)
             neighbors.append(_node_from_basis(ring, gb, order))

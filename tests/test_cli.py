@@ -125,6 +125,8 @@ def test_input_errors_exit_2(tmp_path, capsys):
     ["gb", "--order", "weight:[1,a]"],
     ["gb", "--order", "weight:[1/0,1,1,1,1,1]"],
     ["hilb", "--u", "1,x"],
+    ["hilb", "--n", "2", "--u", "1,-1"],
+    ["hilb", "--n", "2", "--box", "-1"],
     ["nf", "--poly", "x1*q3"],
     ["nf", "--poly", "1/0*x1"],
 ])

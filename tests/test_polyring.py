@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 
 from mvgb.exactalg import eps
 from mvgb.polyring import (
-    Polynomial, Ring, WeightOrder, canonical_string, format_polynomial,
-    m_from_pairs, m_mul, m_one, block_order, parse_monomial, parse_polynomial,
+    MatrixOrder, Polynomial, Ring, WeightOrder, canonical_string,
+    format_polynomial, m_from_pairs, m_mul, m_one, block_order,
+    parse_monomial, parse_polynomial,
 )
 
 R3 = Ring(3)
@@ -48,6 +49,39 @@ def test_weight_then_lex_tiebreak():
     assert o.compare(mono(R3, "x1^2"), mono(R3, "x1*y1")) == 1
     # equal weight, broken by the declared lex order
     assert o.compare(mono(R3, "x1*y1"), mono(R3, "x1*z1")) == 1
+
+
+rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+weight_rows = st.lists(rationals, min_size=R3.nvars, max_size=R3.nvars)
+
+
+def rational_compare(rows, a, b):
+    """The order of rational weight rows then block lex, summed in Fraction."""
+    for row in rows:
+        wa = sum(row[v] * e for v, e in a)
+        wb = sum(row[v] * e for v, e in b)
+        if wa != wb:
+            return 1 if wa > wb else -1
+    return block_order(R3).compare(a, b)
+
+
+@settings(max_examples=60)
+@given(st.lists(weight_rows, min_size=1, max_size=3),
+       st.fractions(min_value=Fraction(1, 7), max_value=9, max_denominator=7),
+       st.lists(monomials(), min_size=2, max_size=6))
+def test_integer_weight_keys_keep_rational_order(rows, scale, monos):
+    scaled = [[w * scale for w in row] for row in rows]
+    orders = [WeightOrder(R3, rows[0]), WeightOrder(R3, scaled[0]),
+              MatrixOrder(R3, rows), MatrixOrder(R3, scaled)]
+    for o in orders:
+        head = o.key(monos[0])[:-R3.nvars]  # the lex tiebreak fills the tail
+        assert head and all(type(k) is int for k in head)
+    for a in monos:
+        for b in monos:
+            assert orders[0].compare(a, b) == orders[1].compare(a, b) \
+                == rational_compare(rows[:1], a, b)
+            assert orders[2].compare(a, b) == orders[3].compare(a, b) \
+                == rational_compare(rows, a, b)
 
 
 @settings(max_examples=200)

@@ -1,9 +1,14 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from mvgb.cameras import multiview_ideal
+from mvgb.checks import random_generic_config
 from mvgb.exactalg import Matrix, rank
-from mvgb.groebner import ideal, ideal_equal, intersect
+from mvgb.groebner import (
+    ideal, ideal_equal, intersect, reduced_groebner_basis,
+)
 from mvgb.monomial import MonomialIdeal
 from mvgb.polyring import Ring, parse_polynomial
 from mvgb.toric import (
@@ -91,6 +96,19 @@ def test_principal_binomial_has_two_initial_ideals():
     from mvgb.polyring import parse_monomial
     assert inits == {(parse_monomial(ring, "x1*y1"),),
                      (parse_monomial(ring, "x2*y2"),)}
+
+
+def test_fan_of_generic_two_camera_ideal_without_kernel_rows():
+    # the ideal is principal, generated by the bilinear epipolar form; its
+    # fan is the normal fan of the product of two triangles, one initial
+    # ideal <t> per term t
+    cfg = random_generic_config(random.Random(7), 2)
+    I = multiview_ideal(cfg)
+    (f,) = reduced_groebner_basis(I)
+    assert len(f.terms) == 9
+    nodes = enumerate_initial_ideals(I)
+    assert sorted(n.initial.gens for n in nodes) == sorted(
+        (t,) for t in f.terms)
 
 
 def test_fan_of_three_camera_toric_ideal():
