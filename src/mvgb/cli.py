@@ -30,6 +30,8 @@ from .polyring import (
 )
 
 SCHEMA_VERSION = 1
+# largest multidegree entry for --u, and most values in a --box table
+MAX_HILB = 10 ** 6
 
 
 class InputError(Exception):
@@ -211,14 +213,20 @@ def cmd_hilb(args):
             raise InputError("bad multidegree: %s" % exc) from None
         if len(u) != n:
             raise InputError("multidegree length must be %d" % n)
-        if min(u) < 0:
-            raise InputError("multidegree entries must be non-negative")
+        if min(u) < 0 or max(u) > MAX_HILB:
+            raise InputError("multidegree entries must lie in 0..%d"
+                             % MAX_HILB)
         _emit({"schema_version": SCHEMA_VERSION, "u": list(u),
                "value": gb.hilbert_value(I, u)})
         return 0
-    bound = args.box
+    try:
+        bound = int(args.box)
+    except ValueError as exc:
+        raise InputError("bad --box: %s" % exc) from None
     if bound < 0:
         raise InputError("--box must be non-negative")
+    if (bound + 1) ** n > MAX_HILB:
+        raise InputError("--box table would exceed %d values" % MAX_HILB)
     init = gb.initial_ideal(I)
     if init.is_squarefree():
         table = mono.standard_count_box(init, bound)
@@ -393,7 +401,8 @@ def build_parser():
     ph = sub.add_parser("hilb", help="multigraded Hilbert values")
     ph.add_argument("file")
     ph.add_argument("--u", help="one multidegree, e.g. 1,1")
-    ph.add_argument("--box", type=int, default=3)
+    ph.add_argument("--box", default="3",
+                    help="table of values for all u <= box (default 3)")
     ph.add_argument("--n", type=int)
     ph.set_defaults(fn=cmd_hilb)
 
@@ -454,6 +463,10 @@ def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        # argparse drops a "--" value, so --poly=-- arrives as []
+        for name, value in vars(args).items():
+            if value == []:
+                raise InputError("--%s needs a value" % name)
         return args.fn(args)
     except InputError as exc:
         print("error: %s" % exc, file=sys.stderr)

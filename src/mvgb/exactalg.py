@@ -17,8 +17,8 @@ def content_scale(coeffs, lead):
     coprime integers, with s * lead > 0.  For reduced fractions the content
     is the gcd of the numerators over the lcm of the denominators."""
     coeffs = list(coeffs)
-    scale = Fraction(lcm(*(c.denominator for c in coeffs)),
-                     gcd(*(c.numerator for c in coeffs)))
+    scale = Fraction(lcm(*{c.denominator for c in coeffs}),
+                     gcd(*{c.numerator for c in coeffs}))
     return scale if lead > 0 else -scale
 
 
@@ -107,7 +107,7 @@ def _pgcd(a, b):
                 fa.pop()
         fa, fb = fb, fa
     # scale fa to a primitive integer polynomial with positive leading coeff
-    den = lcm(*(x.denominator for x in fa))
+    den = lcm(*{x.denominator for x in fa})
     ints = [int(x * den) for x in fa]
     g = gcd(*ints)
     prim = _trim(x // g for x in ints)
@@ -156,7 +156,7 @@ def _coeffs_of(v):
         return (v.numerator,), v.denominator
     if isinstance(v, (tuple, list)):
         fr = [Fraction(x) for x in v]
-        den = lcm(*(x.denominator for x in fr))
+        den = lcm(*{x.denominator for x in fr})
         return tuple(int(x * den) for x in fr), den
     raise TypeError("cannot build a rational function from %r" % (v,))
 

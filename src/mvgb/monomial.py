@@ -33,10 +33,18 @@ def _sort_key(ring):
     return key
 
 
+def _support_mask(mono):
+    """Bitmask of the variables that divide the monomial."""
+    mask = 0
+    for v, _ in mono:
+        mask |= 1 << v
+    return mask
+
+
 class MonomialIdeal:
     """A monomial ideal given by its canonical minimal generating set."""
 
-    __slots__ = ("ring", "gens")
+    __slots__ = ("ring", "gens", "_tests")
 
     def __init__(self, ring, monomials):
         ms = set(monomials)
@@ -47,15 +55,28 @@ class MonomialIdeal:
         minimal.sort(key=_sort_key(ring))
         self.ring = ring
         self.gens = tuple(minimal)
+        self._tests = None
 
     def __contains__(self, mono):
-        return any(m_divides(g, mono) for g in self.gens)
+        # A generator divides mono only if its support is a subset of mono's.
+        # For a squarefree generator (stored as None) that is the whole test;
+        # otherwise it only filters, and the exponents decide.
+        tests = self._tests
+        if tests is None:
+            tests = self._tests = tuple(
+                (_support_mask(g), None if m_squarefree(g) else g)
+                for g in self.gens)
+        mask = _support_mask(mono)
+        for gmask, g in tests:
+            if gmask & mask == gmask and (g is None or m_divides(g, mono)):
+                return True
+        return False
 
     def is_squarefree(self):
-        return all(m_squarefree(g) for g in self.gens)
+        return all(e == 1 for g in self.gens for _, e in g)
 
     def support_masks(self):
-        return [sum(1 << v for v, _ in g) for g in self.gens]
+        return [_support_mask(g) for g in self.gens]
 
     def intersection(self, other):
         if other.ring != self.ring:
@@ -161,8 +182,13 @@ def support_transform(bound, size):
     """T[u][k] = C(u-1, k-1): the number of monomials of degree u on a block
     whose support is one given set of k variables (T[0][0] = 1), for
     u <= bound and k <= size."""
-    return [[comb(u - 1, k - 1) if u and k else int(u == k)
-             for k in range(size + 1)] for u in range(bound + 1)]
+    return [_support_row(u, size) for u in range(bound + 1)]
+
+
+def _support_row(u, size):
+    """Row u of support_transform, without the rows below it."""
+    return [comb(u - 1, k - 1) if u and k else int(u == k)
+            for k in range(size + 1)]
 
 
 def standard_monomial_count(I, u):
@@ -176,7 +202,7 @@ def standard_monomial_count(I, u):
     total = 0
     choices = []
     for b, d in zip(ring.blocks(), u):
-        ways = support_transform(d, len(b))[d]
+        ways = _support_row(d, len(b))
         choices.append([(sum(1 << v for v in sub), ways[k])
                         for k in range(len(b) + 1) if ways[k]
                         for sub in itertools.combinations(b, k)])
@@ -466,22 +492,35 @@ def canonical_form(I):
     """The lexicographically minimal serialized image of the ideal over the
     whole group, and the size of its orbit (the number of distinct images)."""
     group = _group_var_perms(I.ring.n)
-    if I.is_squarefree():
-        if not I.gens:
-            return ("sf", ()), 1
-        key, size = _canonical_masks_vectorized(I, group)
-        return ("sf", key), size
-    images = {tuple(sorted(tuple(sorted((perm[v], e) for v, e in g))
-                           for g in I.gens))
-              for perm in group}
-    return ("gen", min(images)), len(images)
+    if not I.is_squarefree():
+        images = _generic_images(I, group)
+        return ("gen", min(images)), len(images)
+    if not I.gens:
+        return ("sf", ()), 1
+    import numpy as np
+
+    masks = _mask_images(I, group)
+    best = masks[:, np.lexsort(masks[::-1])[0]]
+    # orbit-stabilizer: the orbit has |G| / #{g : g(I) = I} elements
+    own = np.array(sorted(I.support_masks()), dtype=np.int64)
+    fixed = masks[:, masks[0] == own[0]]
+    stabilizer = int((fixed == own[:, None]).all(axis=0).sum())
+    return ("sf", tuple(int(x) for x in best)), len(group) // stabilizer
+
+
+def _generic_images(I, group):
+    """Every image of the ideal, as a sorted tuple of sorted generators."""
+    return {tuple(sorted(tuple(sorted((perm[v], e) for v, e in g))
+                         for g in I.gens))
+            for perm in group}
 
 
 _POWER_PERM_CACHE = {}
 
 
-def _canonical_masks_vectorized(I, group):
-    """Squarefree case of canonical_form, on the generator support masks."""
+def _mask_images(I, group):
+    """For a squarefree ideal, the (gens, |G|) array whose column k holds the
+    sorted generator support masks of the image under group element k."""
     import numpy as np
 
     nv = I.ring.nvars
@@ -496,37 +535,68 @@ def _canonical_masks_vectorized(I, group):
             B[gi, v] = 1
     masks = B @ pp                 # (gens, |G|) remapped support masks
     masks.sort(axis=0)
-    best = masks[:, np.lexsort(masks[::-1])[0]]
-    # orbit-stabilizer: the orbit has |G| / #{g : g(I) = I} elements
-    own = np.array(sorted(I.support_masks()), dtype=np.int64)
-    fixed = masks[:, masks[0] == own[0]]
-    stabilizer = int((fixed == own[:, None]).all(axis=0).sum())
-    return tuple(int(x) for x in best), len(group) // stabilizer
+    return masks
+
+
+def _packed_rows(masks):
+    """One int per row of a 2-D array of sorted support masks: the masks in
+    big-endian 16-bit slots behind a leading 1 that keeps lengths apart.
+    16 bits suffice: the group tables already outgrow memory at 6 cameras
+    (18 variables)."""
+    import numpy as np
+
+    masks = np.asarray(masks, dtype=">u2")
+    width = 2 * masks.shape[1]
+    raw = masks.tobytes()
+    top = 1 << 8 * width
+    return [top | int.from_bytes(raw[k * width:(k + 1) * width], "big")
+            for k in range(len(masks))]
+
+
+def _orbit_key(I):
+    """The key under which _orbit_image_keys lists the ideal itself."""
+    if I.is_squarefree():
+        return _packed_rows([sorted(I.support_masks())])[0]
+    return tuple(sorted(I.gens))
+
+
+def _orbit_image_keys(I):
+    """The set of keys of all images of the ideal over the whole group."""
+    group = _group_var_perms(I.ring.n)
+    if not I.is_squarefree():
+        return _generic_images(I, group)
+    return set(_packed_rows(_mask_images(I, group).T))
 
 
 def symmetry_orbits(ideals, strict=False):
     """Partition a set of monomial ideals into orbits of the action of
     per-camera letter permutations composed with camera relabeling.
 
-    Membership in one orbit is decided by the whole-group canonical form, so
-    ideals related only through images outside the input set still land in
-    one class.  With strict=True the input set must be closed under the
-    action: each class must hold as many distinct ideals as its orbit has.
+    Each orbit is visited once: the images of its first unassigned member
+    over the whole group pick out the other input members, so ideals related
+    only through images outside the input set still land in one class.  With
+    strict=True the input set must be closed under the action: each class
+    must hold as many distinct ideals as its orbit has.
     Returns (representative, members) pairs sorted by representative key;
     the representative is the member with the smallest key.
     """
-    groups = {}
-    sizes = {}
-    for I in ideals:
-        key, size = canonical_form(I)
-        groups.setdefault(key, []).append(I)
-        sizes[key] = size
-    if strict and any(len({ideal_key(I) for I in members}) != sizes[key]
-                      for key, members in groups.items()):
-        raise ValueError("ideal set is not closed under the action")
+    ideals = list(ideals)
+    index = {}   # orbit key -> input positions; a duplicate adds a position
+    for pos, I in enumerate(ideals):
+        index.setdefault(_orbit_key(I), []).append(pos)
     orbits = []
-    for members in groups.values():
-        ms = sorted(members, key=ideal_key)
-        orbits.append((ms[0], ms))
+    for I in ideals:
+        if I is None:   # already placed in an earlier orbit
+            continue
+        images = _orbit_image_keys(I)
+        found = [index.pop(k) for k in images if k in index]
+        if strict and len(found) != len(images):
+            raise ValueError("ideal set is not closed under the action")
+        members = []
+        for p in sorted(q for ps in found for q in ps):
+            members.append(ideals[p])
+            ideals[p] = None
+        members.sort(key=ideal_key)
+        orbits.append((members[0], members))
     orbits.sort(key=lambda o: ideal_key(o[0]))
     return orbits

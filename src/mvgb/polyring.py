@@ -515,18 +515,16 @@ def format_monomial(ring, mono):
 
 
 def _coeff_str(c, mono_str):
-    if isinstance(c, EpsRational):
-        s = str(c)
-        if s.startswith("-") or " " in s or "/" in s:
-            s = "(%s)" % s
-        return s if mono_str == "1" else "%s*%s" % (s, mono_str)
-    if mono_str == "1":
-        return str(c)
-    if c == 1:
-        return mono_str
-    if c == -1:
-        return "-" + mono_str
-    return "%s*%s" % (c, mono_str)
+    if mono_str != "1":
+        if c == 1:
+            return mono_str
+        if c == -1:
+            return "-" + mono_str
+    s = str(c)
+    if isinstance(c, EpsRational) and (
+            s.startswith("-") or " " in s or "/" in s):
+        s = "(%s)" % s
+    return s if mono_str == "1" else "%s*%s" % (s, mono_str)
 
 
 def format_polynomial(p, order=None):

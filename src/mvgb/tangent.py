@@ -287,9 +287,10 @@ def verify_collinear_tangent_basis(n):
     details = {"count": len(maps), "expected": 11 * n - 15}
     if len(maps) != 11 * n - 15:
         return False, details
+    gens = set(I.gens)
     for name, table in maps:
         for g, img in table.items():
-            if g not in set(I.gens):
+            if g not in gens:
                 details["bad_map"] = name
                 return False, details
             if img in I or I.ring.multidegree(g) != I.ring.multidegree(img):

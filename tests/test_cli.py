@@ -2,8 +2,10 @@ import json
 import os
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from mvgb.cli import main
+from mvgb.cli import MAX_HILB, main
 
 
 @pytest.fixture
@@ -160,3 +162,40 @@ def test_toric_dual_graph_export(tmp_path, capsys):
         assert labels.count("cube") == 1 and labels.count("prism") == 6
         degs = g["dual_graph"]["degrees"]
         assert len(degs) == 7
+
+
+# numbers near the accepted ranges, lists of them, and arbitrary text
+NUMBER = st.one_of(st.integers(-3, 40), st.integers(MAX_HILB - 2, 2 ** 70),
+                   st.integers())
+OPTION_TEXT = st.one_of(
+    st.text(),
+    NUMBER.map(str),
+    st.lists(st.one_of(NUMBER.map(str), st.text(max_size=3)),
+             max_size=4).map(",".join),
+)
+POLY_TEXT = st.one_of(
+    st.text(),
+    st.lists(st.sampled_from(
+        ["x1", "y2", "z1", "w1", "x3", "x0", "^", "2", "0", "*", "+", "-",
+         "/", "1/2", " ", "(", "e", "."]), max_size=12).map("".join),
+)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(option=st.sampled_from(["--u", "--box", "--poly"]),
+       text=st.one_of(OPTION_TEXT, POLY_TEXT))
+@example(option="--poly", text="--")  # argparse hands "--" over as []
+@example(option="--box", text="--")
+@example(option="--box", text="99999")
+def test_option_fuzz_exits_0_or_2(tmp_path, capsys, option, text):
+    # a monomial ideal: a normal form is one division test per term, so the
+    # cost never grows with the degree of the text given
+    path = tmp_path / "m.txt"
+    path.write_text("x1*y2\n")
+    command = "nf" if option == "--poly" else "hilb"
+    rc = main([command, str(path), "%s=%s" % (option, text)])
+    err = capsys.readouterr().err
+    assert rc in (0, 2)
+    if rc == 2:
+        assert err.startswith("error: ") and "Traceback" not in err

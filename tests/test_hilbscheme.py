@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from mvgb.hilbscheme import (
@@ -5,7 +7,7 @@ from mvgb.hilbscheme import (
 )
 from mvgb.monomial import (
     MonomialIdeal, collinear_initial_ideal, generic_initial_ideal,
-    ideal_key, is_borel_fixed,
+    ideal_key, ideal_lines, is_borel_fixed,
 )
 from mvgb.polyring import Ring, parse_monomial
 
@@ -13,6 +15,10 @@ from mvgb.polyring import Ring, parse_monomial
 # the first verified run
 CENSUS3_SHA256 = \
     "8b19a66ad347a27c2809d5ec8e4d11879caa9e2507fc7a67a64c87139e37cfe8"
+# hash of its orbit table, one line per class in order: the representative's
+# generators and the class size; recorded from the canonical-form classing
+ORBIT_TABLE3_SHA256 = \
+    "c5042b279c249f7e8dacc63a1b9fef4ef967d7a0f32fab4546738c0f819afb01"
 
 
 def test_two_camera_census_is_the_nine_bilinear_ideals():
@@ -52,6 +58,13 @@ def test_three_camera_census(census3):
     assert ideal_key(collinear_initial_ideal(3)) in keys
     borel = [I for I in res.ideals if is_borel_fixed(I)[0]]
     assert borel == [generic_initial_ideal(3)]
+
+
+@pytest.mark.slow
+def test_three_camera_orbit_table(census3):
+    table = "\n".join("%s | %d" % (", ".join(ideal_lines(rep)), len(members))
+                      for rep, members in census3.orbits)
+    assert hashlib.sha256(table.encode()).hexdigest() == ORBIT_TABLE3_SHA256
 
 
 def test_unique_borel_member_two_cameras():

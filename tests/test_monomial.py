@@ -2,6 +2,8 @@ import itertools
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvgb.hilbscheme import monomial_ideal_census
 from mvgb.monomial import (
@@ -11,7 +13,9 @@ from mvgb.monomial import (
     multiview_hilbert_function, relabel, standard_count_box,
     standard_monomial_count, stanley_reisner_complex, symmetry_orbits,
 )
-from mvgb.polyring import Ring, m_mul, m_one, parse_monomial
+from mvgb.polyring import (
+    Ring, m_divides, m_from_pairs, m_mul, m_one, parse_monomial,
+)
 
 
 def mono(ring, s):
@@ -240,3 +244,110 @@ def test_orbit_of_bilinear_ideals():
     assert sum(len(m) for _, m in orbits) == 9
     rep = orbits[0][0]
     assert ideal_key(rep) == min(ideal_key(I) for I in ideals)
+
+
+# ---------------------------------------------------------------------------
+# the membership and orbit kernels against brute-force oracles
+
+RINGS = {n: Ring(n) for n in (2, 3)}
+
+
+@st.composite
+def monomials(draw, ring, max_exp):
+    return m_from_pairs(draw(st.lists(
+        st.tuples(st.integers(0, ring.nvars - 1), st.integers(1, max_exp)),
+        max_size=5)))
+
+
+@st.composite
+def ideals(draw, ring):
+    """A squarefree ideal, or one whose generators have exponents up to 3."""
+    max_exp = draw(st.sampled_from((1, 3)))
+    return MonomialIdeal(ring, draw(st.lists(monomials(ring, max_exp),
+                                             max_size=6)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_membership_matches_brute_divisibility(data):
+    ring = RINGS[data.draw(st.sampled_from((2, 3)))]
+    # squarefree generators mixed with generators of exponent up to 3
+    gens = data.draw(st.lists(st.one_of(monomials(ring, 1),
+                                        monomials(ring, 3)), max_size=6))
+    I = MonomialIdeal(ring, gens)
+    probes = data.draw(st.lists(monomials(ring, 3), min_size=1, max_size=8))
+    if I.gens:
+        # multiples of generators, so that members are tested as well
+        probes += [m_mul(data.draw(st.sampled_from(I.gens)), m)
+                   for m in data.draw(st.lists(monomials(ring, 3),
+                                               max_size=4))]
+    for m in probes:
+        assert (m in I) == any(m_divides(g, m) for g in I.gens)
+
+
+def brute_orbits(ideals, strict=False):
+    """Oracle: class the ideals by their whole-group canonical form."""
+    groups, sizes = {}, {}
+    for I in ideals:
+        key, size = canonical_form(I)
+        groups.setdefault(key, []).append(I)
+        sizes[key] = size
+    if strict and any(len({ideal_key(I) for I in members}) != sizes[key]
+                      for key, members in groups.items()):
+        raise ValueError("not closed")
+    orbits = [sorted(members, key=ideal_key) for members in groups.values()]
+    return sorted(((ms[0], ms) for ms in orbits),
+                  key=lambda o: ideal_key(o[0]))
+
+
+def orbit_of(I):
+    """Every image of I under the group, by explicit relabeling."""
+    n = I.ring.n
+    perms3 = list(itertools.permutations(range(3)))
+    return {relabel(I, tau, combo)
+            for tau in itertools.permutations(range(n))
+            for combo in itertools.product(perms3, repeat=n)}
+
+
+def same_orbits(ideals, strict):
+    try:
+        want = brute_orbits(ideals, strict)
+    except ValueError:
+        with pytest.raises(ValueError):
+            symmetry_orbits(ideals, strict)
+        return
+    got = symmetry_orbits(ideals, strict)
+    assert got == want
+    # duplicate inputs stay as separate members
+    assert sum(len(ms) for _, ms in got) == len(ideals)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_orbits_match_canonical_form_classing(data):
+    ring = RINGS[data.draw(st.sampled_from((2, 3)))]
+    found = data.draw(st.lists(ideals(ring), max_size=8))
+    if found:
+        found += data.draw(st.lists(st.sampled_from(found), max_size=3))
+    if data.draw(st.booleans()):
+        found.append(MonomialIdeal(ring, []))
+    found = data.draw(st.permutations(found))
+    same_orbits(found, strict=False)
+    same_orbits(found, strict=True)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_strict_orbits_on_closed_and_broken_sets(data):
+    ring = RINGS[data.draw(st.sampled_from((2, 3)))]
+    closed = set()
+    for I in data.draw(st.lists(ideals(ring), min_size=1, max_size=2)):
+        closed |= orbit_of(I)
+    closed = data.draw(st.permutations(sorted(closed, key=ideal_key)))
+    same_orbits(closed, strict=True)
+    assert len(symmetry_orbits(closed, strict=True)) in (1, 2)
+    if len(closed) > 1:
+        broken = list(closed)
+        broken.pop(data.draw(st.integers(0, len(broken) - 1)))
+        # open unless the dropped member was an orbit of its own
+        same_orbits(broken, strict=True)

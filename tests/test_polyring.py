@@ -171,7 +171,12 @@ def test_canonical_string_normalizes_sign_and_content():
                         mono(R3, "x2*y1"): -4 * eps(2),
                         mono(R3, "z1*z2"): 6})
     assert canonical_string(q) == \
-        "1*x1*y2 + (-2*e)*x2*y1 + (3/(e))*z1*z2"
+        "x1*y2 + (-2*e)*x2*y1 + (3/(e))*z1*z2"
+    # unit Q(e) coefficients print as over Q, without a "1*"
+    r = Polynomial(R3, {mono(R3, "x1*y2"): eps(1),
+                        mono(R3, "x2*y1"): -eps(1)})
+    assert canonical_string(r) == "x1*y2 - x2*y1"
+    assert format_polynomial(r * eps(-1)) == "x1*y2 - x2*y1"
 
 
 def test_eps_coefficients():
