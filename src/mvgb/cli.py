@@ -292,17 +292,13 @@ def cmd_toric(args):
         I, kernel_rows=toric.variable_kernel_rows(cm))
     payload = {"schema_version": SCHEMA_VERSION,
                "initial_ideals": len(nodes)}
-    classes = None
+    classes = toric.symmetry_classes([n.initial for n in nodes])
+    payload["classes"] = len(classes)
     if args.classes or args.dual_graphs:
-        classes = toric.symmetry_classes([n.initial for n in nodes])
-        payload["classes"] = len(classes)
         payload["class_table"] = toric.class_invariant_table(classes)
         payload["representatives"] = [
             [format_monomial(rep.ring, g) for g in rep.gens]
             for rep, _ in classes]
-    else:
-        payload["classes"] = len(
-            toric.symmetry_classes([n.initial for n in nodes]))
     if args.dual_graphs:
         graphs = []
         for rep, members in classes:
@@ -347,7 +343,7 @@ def cmd_check(args):
     if args.criteria:
         only = [int(s) for s in args.criteria.split(",")]
     try:
-        report = checks.run_all(only=only, n_max=args.n_max, jobs=args.jobs)
+        report = checks.run_all(only=only, n_max=args.n_max)
     except ValueError as exc:
         raise InputError(str(exc)) from None
     for entry in report["criteria"]:
@@ -452,8 +448,6 @@ def build_parser():
     pck.add_argument("--criteria", help="comma separated criterion numbers")
     pck.add_argument("--n-max", dest="n_max", type=int,
                      help="cap the camera counts exercised")
-    pck.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                     help="worker processes where supported")
     pck.add_argument("--out")
     pck.set_defaults(fn=cmd_check)
     return ap

@@ -13,10 +13,7 @@ from .groebner import (
     ideal, ideal_equal, initial_ideal, intersect,
     normal_form, reduced_groebner_basis,
 )
-from .monomial import (
-    collinear_initial_ideal, multiview_hilbert_function,
-    standard_count_box,
-)
+from .monomial import collinear_initial_ideal, multiview_hilbert_mismatch
 from .polyring import Polynomial, Ring, m_from_pairs, parse_polynomial
 
 __all__ = [
@@ -116,15 +113,8 @@ def special_fiber(gens, check_box=3):
     ring = fibers[0].ring
     candidate = ideal(ring, fibers)
     init = initial_ideal(candidate)
-    certified = True
-    if init.is_squarefree():
-        box = standard_count_box(init, check_box)
-        for u, got in box.items():
-            if got != multiview_hilbert_function(ring.n, u):
-                certified = False
-                break
-    else:
-        certified = False
+    certified = (init.is_squarefree()
+                 and multiview_hilbert_mismatch(init, check_box) is None)
     return candidate, certified
 
 
@@ -226,9 +216,7 @@ def verify_collinear_degeneration(n, check_box=3, cap=5):
     N = collinear_initial_ideal(n)
     record("initial_ideal_of_fiber", initial_ideal(L) == N)
 
-    box = standard_count_box(N, check_box)
-    bad = next((u for u, got in box.items()
-                if got != multiview_hilbert_function(n, u)), None)
+    bad = multiview_hilbert_mismatch(N, check_box)
     record("hilbert_box", bad is None, {"multidegree": bad} if bad else None)
 
     factors = [decomposition_factor_ideal(n, t) for t in range(3, n + 2)]

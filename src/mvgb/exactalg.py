@@ -307,12 +307,6 @@ class EpsRational:
             raise ZeroDivisionError("denominator vanishes at e = %s" % x)
         return _peval(self.num, x) / d
 
-    def as_fraction(self):
-        """Return the value as a Fraction when it is constant in e."""
-        if len(self.num) > 1 or len(self.den) > 1:
-            raise ValueError("not a constant")
-        return Fraction(self.num[0] if self.num else 0, self.den[0])
-
     def __str__(self):
         if not self.num:
             return "0"

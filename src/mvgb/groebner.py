@@ -1,6 +1,7 @@
 """Buchberger engine over Q and Q(e): reduced bases, normal forms, initial
 ideals, ideal equality, elimination, intersection, multigraded Hilbert values,
-and term-order families for universal basis checking."""
+term-order families, and the Hilbert-function certificate of a universal
+basis over every term order."""
 
 from __future__ import annotations
 
@@ -9,7 +10,9 @@ import itertools
 import random
 
 from .exactalg import EpsRational, _pdiv_exact, _pgcd, _pmul, content_scale
-from .monomial import MonomialIdeal, standard_monomial_count
+from .monomial import (
+    MonomialIdeal, multiview_hilbert_mismatch, standard_monomial_count,
+)
 from .polyring import (
     LexOrder, Polynomial, WeightOrder, elimination_order, m_coprime,
     m_deg, m_div, m_divides, m_lcm, m_mul, m_var, block_order,
@@ -19,7 +22,8 @@ __all__ = [
     "IdealPresentation", "ideal", "reduced_groebner_basis", "normal_form",
     "initial_ideal", "ideal_equal", "eliminate", "intersect", "hilbert_value",
     "minimal_generators", "is_groebner_basis", "universal_groebner_check",
-    "permuted_block_lex_orders", "random_weight_orders",
+    "letter_rankings", "permuted_block_lex_orders", "random_weight_orders",
+    "cone_certificates", "universal_basis_certificate",
 ]
 
 
@@ -343,21 +347,25 @@ def is_groebner_basis(gens, order, use_chain=True):
     return True, None
 
 
-def permuted_block_lex_orders(ring):
-    """All 6^n block lexicographic orders obtained by permuting each camera's
-    three letters independently."""
+def letter_rankings(n):
+    """The 6^n rankings of each camera's letters: one tuple of letter slots
+    (0 = x, 1 = y, 2 = z) per camera, highest first."""
+    return list(itertools.product(itertools.permutations(range(3)), repeat=n))
+
+
+def _plain_ring(ring):
     if ring.extended or ring.aux:
         raise ValueError("order family defined on the plain 3-letter ring")
-    n = ring.n
-    perms3 = list(itertools.permutations(range(3)))
-    out = []
-    for combo in itertools.product(perms3, repeat=n):
-        perm = []
-        for slot in range(3):
-            for i in range(n):
-                perm.append(combo[i][slot] * n + i)
-        out.append(LexOrder(ring, tuple(perm)))
-    return out
+    return ring
+
+
+def permuted_block_lex_orders(ring):
+    """The block lexicographic order of each letter ranking, in the order of
+    letter_rankings: 6^n orders, one per cone of rankings."""
+    n = _plain_ring(ring).n
+    return [LexOrder(ring, tuple(ranking[i][slot] * n + i
+                                 for slot in range(3) for i in range(n)))
+            for ranking in letter_rankings(n)]
 
 
 def random_weight_orders(ring, count, seed=0):
@@ -369,47 +377,105 @@ def random_weight_orders(ring, count, seed=0):
     return out
 
 
-def _ugc_worker(payload):
-    gens, order, use_chain = payload
-    return is_groebner_basis(gens, order, use_chain=use_chain)
-
-
-def universal_groebner_check(gens, orders=None, weight_samples=25, seed=0,
-                             use_chain=True, jobs=1):
-    """Check the set is a Groebner basis under every order of the family.
-
-    The default family is every block lexicographic order from per-camera
-    letter permutations (6^n of them, built only for n <= 3) together with
-    weight_samples random weight-generic orders.  A finite family cannot
-    exhaust all term orders; for sets of multilinear polynomials whose
-    supports are full and which are closed under the per-camera letter
-    permutations, the initial monomials under an arbitrary order agree with
-    those under one of the permuted block orders, which is why the 6^n family
-    is the meaningful one to test exhaustively.
+def universal_groebner_check(gens, orders, jobs=1):
+    """Check by S-pair reduction that the set is a Groebner basis under every
+    order of the given family.  Only jobs=1 is supported.
 
     Returns (flag, witness); on failure the witness records the failing order
     index and generator pair.
     """
+    if jobs != 1:
+        raise ValueError("only jobs=1 is supported")
     gens = list(gens)
-    if orders is None:
-        ring = gens[0].ring
-        orders = []
-        if ring.n <= 3:
-            orders.extend(permuted_block_lex_orders(ring))
-        orders.extend(random_weight_orders(ring, weight_samples, seed=seed))
-    orders = list(orders)
-    if jobs > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(jobs) as pool:
-            payloads = [(gens, o, use_chain) for o in orders]
-            for k, (ok, pair) in enumerate(pool.imap(_ugc_worker, payloads)):
-                if not ok:
-                    pool.terminate()
-                    return False, {"order_index": k, "pair": pair}
-        return True, None
     for k, order in enumerate(orders):
-        ok, pair = is_groebner_basis(gens, order, use_chain=use_chain)
+        ok, pair = is_groebner_basis(gens, order)
         if not ok:
             return False, {"order_index": k, "pair": pair}
+    return True, None
+
+
+def _camera_terms(p):
+    """The generator's cameras, the set of letter slots each camera shows
+    among its terms, and each term keyed by its letter slot per camera."""
+    n = p.ring.n
+    cams = None
+    terms = {}
+    for m in p.terms:
+        slots = {cam: slot for slot, cam in (divmod(v, n) for v, _ in m)}
+        if cams is None:
+            cams = tuple(sorted(slots))
+        if (len(slots) != len(m) or any(e != 1 for _, e in m)
+                or tuple(sorted(slots)) != cams):
+            raise ValueError("cone certificate needs generators of degree one "
+                             "in each camera they involve")
+        terms[tuple(slots[c] for c in cams)] = m
+    shown = tuple(frozenset(key[j] for key in terms)
+                  for j in range(len(cams)))
+    return cams, shown, terms
+
+
+def cone_certificates(gens, rankings):
+    """Per letter ranking, the verdict of the Hilbert-function certificate
+    that gens is a Groebner basis under every term order with that ranking.
+
+    Each generator must have degree one in each camera it involves.  Under a
+    ranking its leading term is the term carrying, at every camera, the
+    highest-ranked letter its terms show: it beats every other term camera by
+    camera, so by multiplicativity under every order with the ranking.  The
+    ideal of these terms lies in the initial ideal; when it counts standard
+    monomials by multiview_hilbert_function, and the ideal of gens has that
+    Hilbert function, the two are equal (Traverso's Hilbert-driven argument).
+
+    Yields (flag, witness) per ranking: the witness names the index of a
+    generator without such a term, or the first multidegree that miscounts.
+    """
+    ring = _plain_ring(gens[0].ring)
+    shapes = {}   # (cameras, letters shown per camera) -> shape index
+    table = []
+    for p in gens:
+        cams, shown, terms = _camera_terms(p)
+        table.append((shapes.setdefault((cams, shown), len(shapes)), terms))
+    subsets = {sh for _, shown in shapes for sh in shown}
+    for ranking in rankings:
+        best = [{sh: next(s for s in r if s in sh) for sh in subsets}
+                for r in ranking]
+        tops = [tuple(best[c][sh] for c, sh in zip(cams, shown))
+                for cams, shown in shapes]
+        leads = []
+        for idx, (shape, terms) in enumerate(table):
+            m = terms.get(tops[shape])
+            if m is None:
+                yield False, {"minor": idx}
+                break
+            leads.append(m)
+        else:
+            u = multiview_hilbert_mismatch(MonomialIdeal(ring, leads))
+            yield u is None, None if u is None else {"multidegree": list(u)}
+
+
+def universal_basis_certificate(gens):
+    """Certify that gens is a Groebner basis under every term order, by one
+    Buchberger run and the cone certificates of all 6^n letter rankings.
+
+    The block-order initial ideal of the ideal of gens must be squarefree
+    and count standard monomials by multiview_hilbert_function; every term
+    order ranks each camera's letters somehow, so the cones then cover all
+    orders.  Returns (flag, witness); on failure the witness names the
+    block-order multidegree, or the cone index, its ranking, and the
+    generator or multidegree.
+    """
+    gens = list(gens)
+    ring = gens[0].ring
+    init = initial_ideal(ideal(ring, gens))
+    bad = (multiview_hilbert_mismatch(init) if init.is_squarefree()
+           else "not squarefree")
+    if bad is not None:
+        return False, {"block_order_initial_ideal": bad}
+    rankings = letter_rankings(ring.n)
+    for k, (ok, witness) in enumerate(cone_certificates(gens, rankings)):
+        if not ok:
+            witness.update(cone=k, ranking=[
+                ">".join(ring.name(s * ring.n + c) for s in r)
+                for c, r in enumerate(rankings[k])])
+            return False, witness
     return True, None

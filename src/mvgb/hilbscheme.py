@@ -7,13 +7,11 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
-from .exactalg import Matrix, inverse
 from .monomial import (
-    MonomialIdeal, ideal_key, ideal_lines, multiview_hilbert_function,
-    standard_count_box, support_transform, symmetry_orbits,
+    MonomialIdeal, generic_initial_ideal, ideal_key, ideal_lines,
+    multiview_hilbert_mismatch, standard_profiles, symmetry_orbits,
 )
 from .polyring import Ring, m_from_pairs
 from .tangent import tangent_dimension
@@ -22,33 +20,6 @@ __all__ = [
     "monomial_ideal_census", "census", "CensusResult",
     "has_multiview_hilbert_function", "census_hash",
 ]
-
-
-def _standard_profile_counts(n, bound=3):
-    """How many standard support patterns each per-block size profile must
-    contribute, solved from the closed-form counts over the box.
-
-    The count at multidegree u is sum over profiles k of N(k) * prod_i
-    C(u_i - 1, k_i - 1); the transform is triangular per coordinate, so the
-    profile counts N(k) are determined (and integral).
-    """
-    inv = inverse(Matrix([[Fraction(t) for t in row]
-                          for row in support_transform(bound, bound)])).rows
-    size = bound + 1
-    phi = {}
-    for k in itertools.product(range(size), repeat=n):
-        total = Fraction(0)
-        for u in itertools.product(range(size), repeat=n):
-            w = Fraction(1)
-            for ki, ui in zip(k, u):
-                w *= inv[ki][ui]
-                if not w:
-                    break
-            if w:
-                total += w * multiview_hilbert_function(n, u)
-        assert total.denominator == 1
-        phi[k] = int(total)
-    return phi
 
 
 def _census_tables(n):
@@ -60,7 +31,12 @@ def _census_tables(n):
     for S in supports:
         profile_of.append(tuple(
             sum(1 for v in b if S >> v & 1) for b in blocks))
-    phi = _standard_profile_counts(n)
+    # the closed form's counts of standard support patterns per profile
+    # are those of any squarefree ideal that has it on the box, such as M_n
+    generic = generic_initial_ideal(n)
+    if multiview_hilbert_mismatch(generic) is not None:
+        raise AssertionError("generic initial ideal misses the closed form")
+    phi = standard_profiles(generic)
     psi = {}
     for k in set(profile_of):
         total = 1
@@ -165,14 +141,10 @@ def monomial_ideal_census(n):
     return ideals
 
 
-def has_multiview_hilbert_function(I, n=None):
+def has_multiview_hilbert_function(I):
     """Membership test: squarefree generators and closed-form standard
     counts at every multidegree in the box (which then determine all)."""
-    n = n if n is not None else I.ring.n
-    if not I.is_squarefree():
-        return False
-    box = standard_count_box(I, 3)
-    return all(v == multiview_hilbert_function(n, u) for u, v in box.items())
+    return I.is_squarefree() and multiview_hilbert_mismatch(I) is None
 
 
 @dataclass

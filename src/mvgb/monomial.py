@@ -7,7 +7,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
 
 from .polyring import (
     Polynomial, Ring, format_monomial, m_deg, m_div, m_divides, m_from_pairs,
@@ -17,7 +17,8 @@ from .polyring import (
 __all__ = [
     "MonomialIdeal", "generic_initial_ideal", "collinear_initial_ideal",
     "multiview_hilbert_function", "standard_monomials",
-    "standard_monomial_count", "standard_count_box", "minimal_primes",
+    "standard_monomial_count", "standard_count_box",
+    "multiview_hilbert_mismatch", "standard_profiles", "minimal_primes",
     "multidegree_support", "is_borel_fixed", "FacetComplex",
     "stanley_reisner_complex", "is_shelling", "generic_shelling_order",
     "relabel", "symmetry_orbits", "ideal_key",
@@ -50,8 +51,10 @@ class MonomialIdeal:
         ms = set(monomials)
         if m_one in ms:
             ms = {m_one}
-        minimal = [m for m in ms
-                   if not any(g != m and m_divides(g, m) for g in ms)]
+        masked = [(_support_mask(m), m) for m in ms]
+        minimal = [m for mask, m in masked
+                   if not any(gmask & mask == gmask and g != m
+                              and m_divides(g, m) for gmask, g in masked)]
         minimal.sort(key=_sort_key(ring))
         self.ring = ring
         self.gens = tuple(minimal)
@@ -178,17 +181,43 @@ def standard_monomials(I, u):
     return out
 
 
-def support_transform(bound, size):
-    """T[u][k] = C(u-1, k-1): the number of monomials of degree u on a block
-    whose support is one given set of k variables (T[0][0] = 1), for
-    u <= bound and k <= size."""
-    return [_support_row(u, size) for u in range(bound + 1)]
-
-
 def _support_row(u, size):
-    """Row u of support_transform, without the rows below it."""
+    """C(u-1, k-1) for k <= size: the number of monomials of degree u on a
+    block whose support is one given set of k variables (1 for u = k = 0)."""
     return [comb(u - 1, k - 1) if u and k else int(u == k)
             for k in range(size + 1)]
+
+
+def standard_profiles(I):
+    """Counts of the standard support patterns of a squarefree ideal (one
+    variable subset per camera, containing no generator's support), keyed
+    by the tuple of subset sizes per camera."""
+    blocks = I.ring.blocks()
+    n = I.ring.n
+    per_block = [[(sum(1 << v for v in sub), k) for k in range(len(b) + 1)
+                  for sub in itertools.combinations(b, k)] for b in blocks]
+    # A generator can first divide a pattern once its last camera is chosen.
+    # It is split there into its bits on earlier cameras and on that one;
+    # a prefix is dropped with all its extensions as soon as one divides it.
+    completed = [[] for _ in range(n)]
+    for g in I.support_masks():
+        last = max((v % n for v in _bits(g)), default=0)
+        own = sum(1 << v for v in blocks[last]) & g
+        completed[last].append((g ^ own, own))
+    counts = Counter()
+
+    def rec(idx, mask, sizes):
+        live = [own for low, own in completed[idx] if low & mask == low]
+        for sub, k in per_block[idx]:
+            if any(own & sub == own for own in live):
+                continue
+            if idx + 1 == n:
+                counts[sizes + (k,)] += 1
+            else:
+                rec(idx + 1, mask | sub, sizes + (k,))
+
+    rec(0, 0, ())
+    return counts
 
 
 def standard_monomial_count(I, u):
@@ -198,26 +227,9 @@ def standard_monomial_count(I, u):
         raise ValueError("multidegree length mismatch")
     if not I.is_squarefree():
         return len(standard_monomials(I, u))
-    gen_masks = I.support_masks()
-    total = 0
-    choices = []
-    for b, d in zip(ring.blocks(), u):
-        ways = _support_row(d, len(b))
-        choices.append([(sum(1 << v for v in sub), ways[k])
-                        for k in range(len(b) + 1) if ways[k]
-                        for sub in itertools.combinations(b, k)])
-
-    def rec(idx, mask, ways):
-        nonlocal total
-        if idx == len(choices):
-            if not any(g & mask == g for g in gen_masks):
-                total += ways
-            return
-        for sub, w in choices[idx]:
-            rec(idx + 1, mask | sub, ways * w)
-
-    rec(0, 0, 1)
-    return total
+    rows = [_support_row(d, len(b)) for b, d in zip(ring.blocks(), u)]
+    return sum(cnt * prod(row[k] for row, k in zip(rows, sizes))
+               for sizes, cnt in standard_profiles(I).items())
 
 
 def standard_count_box(I, bound=3):
@@ -226,40 +238,15 @@ def standard_count_box(I, bound=3):
     Requires squarefree generators; counts are derived from the census of
     standard support patterns, aggregated by per-block support size.
     """
-    ring = I.ring
     if not I.is_squarefree():
         raise ValueError("box counting requires squarefree generators")
-    blocks = ring.blocks()
-    gen_masks = I.support_masks()
-    n = ring.n
-    bsz = len(blocks[0])
-    per_block = []
-    for b in blocks:
-        opts = []
-        for k in range(0, bsz + 1):
-            for sub in itertools.combinations(b, k):
-                opts.append((sum(1 << v for v in sub), k))
-        per_block.append(opts)
-    size_counts = {}
-
-    def rec(idx, mask, sizes):
-        if idx == n:
-            if not any(g & mask == g for g in gen_masks):
-                key = tuple(sizes)
-                size_counts[key] = size_counts.get(key, 0) + 1
-            return
-        for sub, k in per_block[idx]:
-            rec(idx + 1, mask | sub, sizes + [k])
-
-    rec(0, 0, [])
+    n = I.ring.n
+    table = standard_profiles(I)
     # contract the size-count tensor against T[u][k] = C(u-1, k-1) per axis
-    T = support_transform(bound, bsz)
-    table = dict(size_counts)
+    T = [_support_row(u, len(I.ring.blocks()[0])) for u in range(bound + 1)]
     for axis in range(n):
         new = {}
         for key, cnt in table.items():
-            if cnt == 0:
-                continue
             for u in range(bound + 1):
                 f = T[u][key[axis]]
                 if f:
@@ -270,6 +257,20 @@ def standard_count_box(I, bound=3):
     for u in itertools.product(range(bound + 1), repeat=n):
         box[u] = table.get(u, 0)
     return box
+
+
+def multiview_hilbert_mismatch(I, bound=3):
+    """The first multidegree u <= bound, in box order, whose standard count
+    differs from multiview_hilbert_function; None when the whole box agrees.
+
+    Requires squarefree generators.  The box u <= 3 then decides every
+    multidegree: both counts are sums over per-block support sizes k <= 3 of
+    pattern counts times C(u_i - 1, k_i - 1), and the box fixes the counts.
+    """
+    n = I.ring.n
+    box = standard_count_box(I, bound)
+    return next((u for u, got in box.items()
+                 if got != multiview_hilbert_function(n, u)), None)
 
 
 # ---------------------------------------------------------------------------

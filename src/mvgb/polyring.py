@@ -62,13 +62,6 @@ class Ring:
             raise ValueError("letter %r not in this ring" % letter) from None
         return block * self.n + camera - 1
 
-    def var_info(self, v):
-        """(letter, camera) of a block variable, or ('t', k) for aux ones."""
-        nblock = len(self.letters) * self.n
-        if v < nblock:
-            return self.letters[v // self.n], v % self.n + 1
-        return "t", v - nblock + 1
-
     def name(self, v):
         return self._names[v]
 
@@ -93,9 +86,6 @@ class Ring:
 
     def with_aux(self, k):
         return Ring(self.n, self.extended, self.aux + k)
-
-    def drop_aux(self):
-        return Ring(self.n, self.extended)
 
     def __eq__(self, other):
         return (isinstance(other, Ring) and self.n == other.n

@@ -256,13 +256,19 @@ def collinear_tangent_maps(n):
     return maps
 
 
-def _is_homomorphism(I, table):
-    """Check the pairwise syzygy conditions for a single-assignment table."""
-    gens = list(I.gens)
-    for a, b in itertools.combinations(range(len(gens)), 2):
-        ga, gb = gens[a], gens[b]
+def _pair_quotients(gens):
+    """(g_a, g_b, lcm/g_a, lcm/g_b) for every pair of generators a < b."""
+    out = []
+    for ga, gb in itertools.combinations(gens, 2):
         L = m_lcm(ga, gb)
-        qa, qb = m_div(L, ga), m_div(L, gb)
+        out.append((ga, gb, m_div(L, ga), m_div(L, gb)))
+    return out
+
+
+def _is_homomorphism(I, table, pairs):
+    """Check the pairwise syzygy conditions for a single-assignment table,
+    given the pair quotients of the ideal's generators."""
+    for ga, gb, qa, qb in pairs:
         ia = table.get(ga)
         ib = table.get(gb)
         ma = m_mul(ia, qa) if ia is not None else None
@@ -288,6 +294,7 @@ def verify_collinear_tangent_basis(n):
     if len(maps) != 11 * n - 15:
         return False, details
     gens = set(I.gens)
+    pairs = _pair_quotients(I.gens)
     for name, table in maps:
         for g, img in table.items():
             if g not in gens:
@@ -296,7 +303,7 @@ def verify_collinear_tangent_basis(n):
             if img in I or I.ring.multidegree(g) != I.ring.multidegree(img):
                 details["bad_map"] = name
                 return False, details
-        ok, pair = _is_homomorphism(I, table)
+        ok, pair = _is_homomorphism(I, table, pairs)
         if not ok:
             details["bad_map"] = name
             details["pair"] = pair

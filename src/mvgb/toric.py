@@ -6,7 +6,6 @@ with dual graphs."""
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -29,10 +28,8 @@ __all__ = [
     "CayleyMatrix", "cayley_matrix", "lattice_kernel_basis",
     "variable_kernel_rows", "toric_ideal", "GFanNode",
     "enumerate_initial_ideals", "symmetry_classes", "mixed_subdivision",
-    "class_invariant_table", "NODE_CAP_ENV",
+    "class_invariant_table",
 ]
-
-NODE_CAP_ENV = "MVGB_NODE_CAP"
 
 
 @dataclass(frozen=True)
@@ -167,13 +164,11 @@ def enumerate_initial_ideals(I, kernel_rows=None, node_cap=None):
     flip traversal of the Groebner fan.
 
     kernel_rows, when given, is an integer basis of the space spanned by the
-    exponent differences (the facet LPs then run in that dimension).  The
-    node cap defaults to the MVGB_NODE_CAP environment variable.
+    exponent differences (the facet LPs then run in that dimension).  With
+    node_cap set, visiting more nodes raises RuntimeError.
     """
     I = I if isinstance(I, IdealPresentation) else ideal(I[0].ring, I)
     ring = I.ring
-    if node_cap is None:
-        node_cap = int(os.environ.get(NODE_CAP_ENV, "0")) or None
     dim = len(kernel_rows) if kernel_rows is not None else ring.nvars
     start_order = block_order(ring)
     ones = [1] * ring.nvars

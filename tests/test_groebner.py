@@ -4,14 +4,16 @@ from fractions import Fraction
 
 import pytest
 
+from mvgb import checks
 from mvgb.cameras import (
     CameraConfig, is_generic, minimal_multiview_generators,
     multiview_generators, multiview_ideal,
 )
 from mvgb.groebner import (
-    eliminate, hilbert_value, ideal, ideal_equal, initial_ideal, intersect,
-    is_groebner_basis, minimal_generators, normal_form,
-    permuted_block_lex_orders, random_weight_orders, reduced_groebner_basis,
+    cone_certificates, eliminate, hilbert_value, ideal, ideal_equal,
+    initial_ideal, intersect, is_groebner_basis, letter_rankings,
+    minimal_generators, normal_form, permuted_block_lex_orders,
+    random_weight_orders, reduced_groebner_basis, universal_basis_certificate,
     universal_groebner_check,
 )
 from mvgb.monomial import MonomialIdeal, generic_initial_ideal
@@ -212,17 +214,66 @@ def test_universal_check_two_cameras():
     assert ok and witness is None
 
 
+def _without_cubic_leader(gens, ring):
+    """The minors minus those whose block-order leading term is x1*y2*y3."""
+    o = block_order(ring)
+    target = parse_monomial(ring, "x1*y2*y3")
+    return [g for g in gens if g.leading_term(o)[1] != target]
+
+
 def test_universal_check_detects_missing_cubic():
     rng = random.Random(8)
     c = random_config(rng, 3)
     gens = multiview_generators(c)
-    o = block_order(c.ring())
-    target = parse_monomial(c.ring(), "x1*y2*y3")
-    keep = [g for g in gens if g.leading_term(o)[1] != target]
+    keep = _without_cubic_leader(gens, c.ring())
     assert len(keep) < len(gens)
-    ok, witness = universal_groebner_check(keep, [o])
+    ok, witness = universal_groebner_check(keep, [block_order(c.ring())])
     assert not ok
     assert witness["order_index"] == 0
+
+
+def test_universal_check_runs_in_process_only():
+    gens = multiview_generators(random_config(random.Random(8), 2))
+    with pytest.raises(ValueError):
+        universal_groebner_check(gens, [block_order(gens[0].ring)], jobs=2)
+
+
+def test_cone_certificate_agrees_with_s_pairs():
+    # S-pair reduction under each sampled cone's block lex order is the
+    # oracle; the set without one cubic passes in some cones and fails in
+    # others, and its verdict differs from that of the reversed ranking in
+    # several sampled cones, so picking trailing terms would be caught
+    c = random_config(random.Random(8), 3)
+    ring = c.ring()
+    gens = multiview_generators(c)
+    rankings = letter_rankings(3)
+    orders = permuted_block_lex_orders(ring)
+    cones = random.Random(2).sample(range(len(rankings)), 12)
+    verdicts = []
+    for gset in (gens, minimal_multiview_generators(c),
+                 _without_cubic_leader(gens, ring)):
+        got = [ok for ok, _ in
+               cone_certificates(gset, [rankings[k] for k in cones])]
+        assert got == [is_groebner_basis(gset, orders[k])[0] for k in cones]
+        verdicts.append(got)
+    assert all(verdicts[0])
+    assert not any(verdicts[1])
+    assert any(verdicts[2]) and not all(verdicts[2])
+
+
+def test_cone_certificate_witness_names_cone_and_multidegree():
+    c = random_config(random.Random(10), 3)
+    ok, witness = universal_basis_certificate(minimal_multiview_generators(c))
+    assert not ok
+    assert witness["cone"] == 0
+    assert witness["ranking"] == ["x1>y1>z1", "x2>y2>z2", "x3>y3>z3"]
+    assert len(witness["multidegree"]) == 3
+
+
+def test_criterion_2_certifies_every_cone_up_to_three_cameras():
+    entry = checks.criterion_2_universal_basis(n_max=3)
+    assert entry["pass"], entry["details"]
+    assert entry["details"] == {"n2_cones": 36, "n3_cones": 216}
 
 
 def test_chain_criterion_consistency():
@@ -268,13 +319,8 @@ def test_universal_check_default_family():
     rng = random.Random(12)
     c = random_config(rng, 2)
     gens = multiview_generators(c)
-    ok, witness = universal_groebner_check(gens, weight_samples=5, seed=3)
+    ring = c.ring()
+    orders = (permuted_block_lex_orders(ring)
+              + random_weight_orders(ring, 5, seed=3))
+    ok, witness = universal_groebner_check(gens, orders)
     assert ok and witness is None
-
-
-def test_universal_check_worker_pool():
-    rng = random.Random(13)
-    c = random_config(rng, 2)
-    gens = multiview_generators(c)
-    orders = permuted_block_lex_orders(c.ring())[:8]
-    assert universal_groebner_check(gens, orders, jobs=2)[0]

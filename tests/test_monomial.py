@@ -10,8 +10,9 @@ from mvgb.monomial import (
     MonomialIdeal, canonical_form, collinear_initial_ideal,
     generic_initial_ideal, generic_shelling_order, ideal_key, is_borel_fixed,
     is_shelling, minimal_primes, multidegree_support,
-    multiview_hilbert_function, relabel, standard_count_box,
-    standard_monomial_count, stanley_reisner_complex, symmetry_orbits,
+    multiview_hilbert_function, multiview_hilbert_mismatch, relabel,
+    standard_count_box, standard_monomial_count, stanley_reisner_complex,
+    symmetry_orbits,
 )
 from mvgb.polyring import (
     Ring, m_divides, m_from_pairs, m_mul, m_one, parse_monomial,
@@ -110,6 +111,19 @@ def test_box_table_matches_closed_form():
             h = multiview_hilbert_function(n, u)
             assert boxM[u] == h
             assert boxN[u] == h
+
+
+def test_hilbert_mismatch_names_first_multidegree():
+    M = generic_initial_ideal(3)
+    assert multiview_hilbert_mismatch(M) is None
+    assert multiview_hilbert_mismatch(collinear_initial_ideal(4)) is None
+    # dropping x1*x2 adds a standard monomial at (1,1,0); adding z1*z2
+    # removes one there; (1,1,0) is the first box entry either one changes
+    smaller = MonomialIdeal(M.ring, M.gens[1:])
+    larger = MonomialIdeal(M.ring, M.gens + (mono(M.ring, "z1*z2"),))
+    assert multiview_hilbert_mismatch(smaller) == (1, 1, 0)
+    assert multiview_hilbert_mismatch(larger) == (1, 1, 0)
+    assert multiview_hilbert_mismatch(larger, bound=0) is None
 
 
 def test_minimal_primes_small():
