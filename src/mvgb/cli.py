@@ -5,7 +5,6 @@ enumeration, the census, and the full acceptance suite."""
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import re
@@ -227,12 +226,7 @@ def cmd_hilb(args):
         raise InputError("--box must be non-negative")
     if (bound + 1) ** n > MAX_HILB:
         raise InputError("--box table would exceed %d values" % MAX_HILB)
-    init = gb.initial_ideal(I)
-    if init.is_squarefree():
-        table = mono.standard_count_box(init, bound)
-    else:
-        table = {u: mono.standard_monomial_count(init, u)
-                 for u in itertools.product(range(bound + 1), repeat=n)}
+    table = mono.standard_count_box(gb.initial_ideal(I), bound)
     _emit({"schema_version": SCHEMA_VERSION, "box": bound,
            "values": {",".join(map(str, u)): v
                       for u, v in sorted(table.items())}})

@@ -8,6 +8,8 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
+from fractions import Fraction
+from math import gcd, lcm
 
 from .exactalg import EpsRational, _pdiv_exact, _pgcd, _pmul, content_scale
 from .monomial import (
@@ -29,18 +31,42 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # raw polynomial dictionaries
+#
+# Over Q the engine reduces in Python ints: every basis triple holds a
+# primitive integer multiple of its polynomial, and a reduction step
+# p <- (lc/g)*p - (c/g)*q*h with g = gcd(lc, c) keeps p integral.  Over Q(e)
+# it divides in the field of rational functions.  A reduction settles its
+# domain once, from the basis and the input together; the cancel step is the
+# only part that differs.
 
-def _domain_is_eps(terms):
-    return any(isinstance(c, EpsRational) for c in terms.values())
+def _is_eps(polys):
+    """Does any coefficient of the term dicts lie outside Q?"""
+    return any(isinstance(c, EpsRational) for t in polys for c in t.values())
 
 
-def _content_normalize(terms, key):
-    """Scale to a canonical integral form: coprime integer coefficients over
-    Q, primitive polynomial coefficients over Q(e); leading sign positive."""
+def _cancel_q(lc, c):
+    g = gcd(lc, c)
+    return lc // g, c // g
+
+
+def _cancel_eps(lc, c):
+    return 1, c / lc
+
+
+def _cancel(eps):
+    """The cancel step (a, b), a*c == b*lc, of the domain."""
+    return _cancel_eps if eps else _cancel_q
+
+
+def _content_normalize(terms, key, eps):
+    """Scale to a canonical integral form, leading sign positive: primitive
+    polynomial coefficients when some coefficient lies outside Q, else
+    coprime integers, held as ints in the domain Q and as Fractions in the
+    domain Q(e)."""
     if not terms:
         return terms
     lead = max(terms, key=key)
-    if _domain_is_eps(terms):
+    if _is_eps([terms]):
         coeffs = {m: c if isinstance(c, EpsRational) else EpsRational(c)
                   for m, c in terms.items()}
         den = (1,)
@@ -59,7 +85,9 @@ def _content_normalize(terms, key):
             out[m] = EpsRational(tuple(-x for x in v) if flip else v)
         return out
     scale = content_scale(terms.values(), terms[lead])
-    return {m: c * scale for m, c in terms.items()}
+    if eps:
+        return {m: c * scale for m, c in terms.items()}
+    return {m: (c * scale).numerator for m, c in terms.items()}
 
 
 def _prep(terms, key):
@@ -67,49 +95,66 @@ def _prep(terms, key):
     return (lm, terms[lm], terms)
 
 
-def _nf_dict(p, G, key):
-    """Full normal form of the dict p against prepared triples G."""
+def _basis(polys, key, eps):
+    """Prepared triples: primitive integer multiples over Q (which leave
+    every remainder unchanged), the coefficients as given over Q(e)."""
+    return [_prep(t if eps else _content_normalize(t, key, eps), key)
+            for t in polys if t]
+
+
+def _nf_dict(p, G, key, cancel):
+    """Full normal form of the dict p against prepared triples G.
+
+    Returns (r, scale): the remainder is r / scale.  Over Q the scale is the
+    product of the factors a by which the reduction multiplied p; over Q(e)
+    it stays 1.
+    """
     p = dict(p)
-    out = {}
+    out = []
+    scale = 1
     while p:
         m = max(p, key=key)
         c = p.pop(m)
-        q = None
         for lm, lc, terms in G:
             q = m_div(m, lm)
             if q is not None:
-                f = c / lc
+                a, b = cancel(lc, c)
+                if a != 1:
+                    p = {mm: v * a for mm, v in p.items()}
+                    scale *= a
                 for gm, gc in terms.items():
                     if gm == lm:
                         continue
                     mm = m_mul(gm, q)
-                    v = p.get(mm, 0) - f * gc
+                    v = p.get(mm, 0) - b * gc
                     if v:
                         p[mm] = v
                     else:
                         p.pop(mm, None)
                 break
-        if q is None:
-            out[m] = c
-    return out
+        else:
+            out.append((m, c, scale))
+    if scale == 1:
+        return {m: c for m, c, _ in out}, scale
+    return {m: c * (scale // s) for m, c, s in out}, scale
 
 
-def _spoly(gi, gj, key):
+def _spoly(gi, gj, cancel):
+    """a*q_i*g_i - b*q_j*g_j with (a, b) the cancel step of the two leading
+    coefficients: (lc_j/g, lc_i/g) over Q, (1, lc_i/lc_j) over Q(e).  A
+    nonzero multiple of the monic S-polynomial, and zero exactly with it."""
     lmi, lci, ti = gi
     lmj, lcj, tj = gj
     L = m_lcm(lmi, lmj)
     qi, qj = m_div(L, lmi), m_div(L, lmj)
-    s = {}
-    for m, c in ti.items():
-        mm = m_mul(m, qi)
-        v = s.get(mm, 0) + c / lci
-        if v:
-            s[mm] = v
-        else:
-            s.pop(mm, None)
+    a, b = cancel(lcj, lci)
+    s = {m_mul(m, qi): c if a == 1 else a * c
+         for m, c in ti.items() if m != lmi}
     for m, c in tj.items():
+        if m == lmj:
+            continue
         mm = m_mul(m, qj)
-        v = s.get(mm, 0) - c / lcj
+        v = s.get(mm, 0) - b * c
         if v:
             s[mm] = v
         else:
@@ -131,11 +176,11 @@ def _chain_skips(G, i, j, treated):
 
 
 def _buchberger(gen_dicts, order):
+    """Buchberger's algorithm on the term dicts; returns the reduced basis."""
     key = order.key
-    G = []
-    for t in gen_dicts:
-        if t:
-            G.append(_prep(_content_normalize(t, key), key))
+    eps = _is_eps(gen_dicts)
+    cancel = _cancel(eps)
+    G = [_prep(_content_normalize(t, key, eps), key) for t in gen_dicts if t]
     G.sort(key=lambda g: (m_deg(g[0]), key(g[0])))
     pairs = []
     pending = set()
@@ -154,15 +199,16 @@ def _buchberger(gen_dicts, order):
         if m_coprime(G[i][0], G[j][0]) or _chain_skips(
                 G, i, j, lambda pair: pair not in pending):
             continue
-        r = _nf_dict(_spoly(G[i], G[j], key), G, key)
+        r, _ = _nf_dict(_spoly(G[i], G[j], cancel), G, key, cancel)
         if r:
-            G.append(_prep(_content_normalize(r, key), key))
+            G.append(_prep(_content_normalize(r, key, eps), key))
             push_pairs(len(G) - 1)
-    return G
+    return _reduce_basis(G, key, eps)
 
 
-def _reduce_basis(G, key):
+def _reduce_basis(G, key, eps):
     """Minimalize, tail-reduce and make monic; sorted by leading monomial."""
+    cancel = _cancel(eps)
     kept = []
     for g in sorted(G, key=lambda g: (m_deg(g[0]), key(g[0]))):
         if not any(m_divides(h[0], g[0]) for h in kept):
@@ -170,10 +216,10 @@ def _reduce_basis(G, key):
     out = []
     for g in kept:
         others = [h for h in kept if h[0] != g[0]]
-        r = _nf_dict(g[2], others, key)
-        lm = max(r, key=key)
-        lc = r[lm]
-        out.append({m: c / lc for m, c in r.items()})
+        r, _ = _nf_dict(g[2], others, key, cancel)
+        lc = r[max(r, key=key)]
+        out.append({m: c / lc if eps else Fraction(c, lc)
+                    for m, c in r.items()})
     out.sort(key=lambda t: key(max(t, key=key)))
     return out
 
@@ -205,8 +251,7 @@ class IdealPresentation:
         sig = order.signature
         got = self._gb.get(sig)
         if got is None:
-            dicts = _buchberger([dict(p.terms) for p in self.generators], order)
-            out = _reduce_basis(dicts, order.key)
+            out = _buchberger([p.terms for p in self.generators], order)
             got = tuple(Polynomial(self.ring, t) for t in out)
             self._gb[sig] = got
         return got
@@ -239,8 +284,17 @@ def reduced_groebner_basis(I, order=None):
 def normal_form(p, basis, order=None):
     """Remainder of p on division by a Groebner basis for the given order."""
     order = order or block_order(p.ring)
-    prepped = [_prep(dict(g.terms), order.key) for g in basis if g.terms]
-    return Polynomial(p.ring, _nf_dict(dict(p.terms), prepped, order.key))
+    polys = [g.terms for g in basis]
+    eps = _is_eps(polys + [p.terms])
+    G = _basis(polys, order.key, eps)
+    if eps:
+        r, _ = _nf_dict(p.terms, G, order.key, _cancel_eps)
+        return Polynomial(p.ring, r)
+    den = lcm(*{c.denominator for c in p.terms.values()})
+    r, scale = _nf_dict({m: c.numerator * (den // c.denominator)
+                         for m, c in p.terms.items()}, G, order.key, _cancel_q)
+    return Polynomial(p.ring, {m: Fraction(c, scale * den)
+                               for m, c in r.items()})
 
 
 def initial_ideal(I, order=None):
@@ -281,8 +335,7 @@ def intersect(I, J):
     gens = [t * p.in_ring(ring2) for p in I.generators]
     gens += [(1 - t) * p.in_ring(ring2) for p in J.generators]
     order = LexOrder(ring2, (tvar,) + tuple(range(ring2.nvars - 1)))
-    gb = _reduce_basis(_buchberger([dict(p.terms) for p in gens], order),
-                       order.key)
+    gb = _buchberger([p.terms for p in gens], order)
     out = []
     for terms in gb:
         if all(v != tvar for m in terms for v, _ in m):
@@ -332,7 +385,10 @@ def is_groebner_basis(gens, order, use_chain=True):
     Returns (flag, witness); the witness is the offending generator pair.
     """
     key = order.key
-    G = [_prep(dict(p.terms), key) for p in gens if p.terms]
+    polys = [p.terms for p in gens]
+    eps = _is_eps(polys)
+    cancel = _cancel(eps)
+    G = _basis(polys, key, eps)
     done = set()
     idx = sorted(range(len(G)), key=lambda i: (m_deg(G[i][0]), key(G[i][0])))
     for a in range(len(idx)):
@@ -341,7 +397,8 @@ def is_groebner_basis(gens, order, use_chain=True):
             if (not m_coprime(G[i][0], G[j][0])
                     and not (use_chain
                              and _chain_skips(G, i, j, done.__contains__))
-                    and _nf_dict(_spoly(G[i], G[j], key), G, key)):
+                    and _nf_dict(_spoly(G[i], G[j], cancel), G, key,
+                                 cancel)[0]):
                 return False, (i, j)
             done.add((min(i, j), max(i, j)))
     return True, None

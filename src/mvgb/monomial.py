@@ -10,8 +10,8 @@ from dataclasses import dataclass
 from math import comb, prod
 
 from .polyring import (
-    Polynomial, Ring, format_monomial, m_deg, m_div, m_divides, m_from_pairs,
-    m_lcm, m_mul, m_one, m_squarefree, m_var, block_order,
+    Polynomial, Ring, format_monomial, m_deg, m_div, m_divides, m_exp,
+    m_from_pairs, m_lcm, m_mul, m_one, m_squarefree, m_var, block_order,
 )
 
 __all__ = [
@@ -221,26 +221,69 @@ def standard_profiles(I):
 
 
 def standard_monomial_count(I, u):
-    """Number of monomials of multidegree u divisible by no generator of I."""
-    ring = I.ring
-    if len(u) != ring.n:
+    """Number of monomials of multidegree u divisible by no generator of I.
+
+    A squarefree ideal is counted from its standard support patterns.
+    Otherwise take a variable v with exponent D >= 2 in some generator.  A
+    monomial v^k m, v not dividing m, is standard when m avoids the
+    generators with v-exponent <= k, read without v: for k < D that is the
+    ideal of those and of v itself, in degree u - k; every k >= D sees all
+    generators, v-free, and v^D times their standard monomials of degree
+    u - D counts that whole tail.  Each branch leaves v squarefree.
+    """
+    if len(u) != I.ring.n:
         raise ValueError("multidegree length mismatch")
-    if not I.is_squarefree():
-        return len(standard_monomials(I, u))
-    rows = [_support_row(d, len(b)) for b, d in zip(ring.blocks(), u)]
-    return sum(cnt * prod(row[k] for row, k in zip(rows, sizes))
-               for sizes, cnt in standard_profiles(I).items())
+    return _split_count(I, tuple(u), {}, {})
+
+
+def _split_count(I, u, counts, profiles):
+    """standard_monomial_count, reusing the count of every branch (its
+    generator set and degree) already met and the profiles of every
+    squarefree ideal already counted: the branches of a split often reach
+    one ideal again, in several degrees, and the profiles do not depend on
+    the degree."""
+    ring = I.ring
+    if I.is_squarefree():
+        table = profiles.get(I.gens)
+        if table is None:
+            table = profiles[I.gens] = standard_profiles(I)
+        rows = [_support_row(d, len(b)) for b, d in zip(ring.blocks(), u)]
+        return sum(cnt * prod(row[k] for row, k in zip(rows, sizes))
+                   for sizes, cnt in table.items())
+    v = next(w for g in I.gens for w, e in g if e > 1)
+    top = max(m_exp(g, v) for g in I.gens)
+    cam = v % ring.n
+    stripped = [(m_exp(g, v), tuple(t for t in g if t[0] != v))
+                for g in I.gens]
+
+    def branch(gens, k):
+        key = frozenset(gens), u[:cam] + (u[cam] - k,) + u[cam + 1:]
+        got = counts.get(key)
+        if got is None:
+            got = counts[key] = _split_count(
+                MonomialIdeal(ring, key[0]), key[1], counts, profiles)
+        return got
+
+    total = sum(branch([g for e, g in stripped if e <= k] + [m_var(v)], k)
+                for k in range(min(top, u[cam] + 1)))
+    if u[cam] >= top:
+        total += branch([g for _, g in stripped], top)
+    return total
 
 
 def standard_count_box(I, bound=3):
     """Table of standard-monomial counts for every multidegree u <= bound.
 
-    Requires squarefree generators; counts are derived from the census of
+    For squarefree generators the counts are derived from the census of
     standard support patterns, aggregated by per-block support size.
+    Otherwise every entry is split as in standard_monomial_count, the
+    entries sharing one memo of the ideals and degrees met.
     """
-    if not I.is_squarefree():
-        raise ValueError("box counting requires squarefree generators")
     n = I.ring.n
+    if not I.is_squarefree():
+        counts, profiles = {}, {}
+        return {u: _split_count(I, u, counts, profiles)
+                for u in itertools.product(range(bound + 1), repeat=n)}
     table = standard_profiles(I)
     # contract the size-count tensor against T[u][k] = C(u-1, k-1) per axis
     T = [_support_row(u, len(I.ring.blocks()[0])) for u in range(bound + 1)]
@@ -267,6 +310,8 @@ def multiview_hilbert_mismatch(I, bound=3):
     multidegree: both counts are sums over per-block support sizes k <= 3 of
     pattern counts times C(u_i - 1, k_i - 1), and the box fixes the counts.
     """
+    if not I.is_squarefree():
+        raise ValueError("the box decides only for squarefree generators")
     n = I.ring.n
     box = standard_count_box(I, bound)
     return next((u for u, got in box.items()
@@ -493,20 +538,25 @@ def canonical_form(I):
     """The lexicographically minimal serialized image of the ideal over the
     whole group, and the size of its orbit (the number of distinct images)."""
     group = _group_var_perms(I.ring.n)
-    if not I.is_squarefree():
-        images = _generic_images(I, group)
-        return ("gen", min(images)), len(images)
     if not I.gens:
         return ("sf", ()), 1
     import numpy as np
 
-    masks = _mask_images(I, group)
-    best = masks[:, np.lexsort(masks[::-1])[0]]
-    # orbit-stabilizer: the orbit has |G| / #{g : g(I) = I} elements
-    own = np.array(sorted(I.support_masks()), dtype=np.int64)
-    fixed = masks[:, masks[0] == own[0]]
-    stabilizer = int((fixed == own[:, None]).all(axis=0).sum())
-    return ("sf", tuple(int(x) for x in best)), len(group) // stabilizer
+    squarefree = I.is_squarefree()
+    keys = _mask_images(I, group) if squarefree else _code_images(I, group)
+    if keys is None:   # exponents too large to pack: list every image
+        images = _generic_images(I, group)
+        return ("gen", min(images)), len(images)
+    best = int(np.lexsort(keys.T[::-1])[0])
+    # orbit-stabilizer: the orbit has |G| / #{g : g(I) = I} elements; the
+    # first group element is the identity
+    fixed = keys[keys[:, 0] == keys[0, 0]]
+    stabilizer = int((fixed == keys[0]).all(axis=1).sum())
+    if squarefree:
+        label = ("sf", tuple(int(x) for x in keys[best]))
+    else:
+        label = ("gen", _generic_images(I, group[best:best + 1]).pop())
+    return label, len(group) // stabilizer
 
 
 def _generic_images(I, group):
@@ -516,27 +566,63 @@ def _generic_images(I, group):
             for perm in group}
 
 
-_POWER_PERM_CACHE = {}
+_PERM_ARRAY_CACHE = {}
+
+
+def _perm_arrays(nv, group):
+    """The group as an (|G|, nv) array P, P[k, v] the image of variable v
+    under element k, and 2^P, the image of each variable's bit."""
+    import numpy as np
+
+    got = _PERM_ARRAY_CACHE.get(nv)
+    if got is None:
+        P = np.array(group, dtype=np.int64)
+        got = _PERM_ARRAY_CACHE[nv] = (P, np.int64(1) << P)
+    return got
 
 
 def _mask_images(I, group):
-    """For a squarefree ideal, the (gens, |G|) array whose column k holds the
+    """For a squarefree ideal, the (|G|, gens) array whose row k holds the
     sorted generator support masks of the image under group element k."""
     import numpy as np
 
     nv = I.ring.nvars
-    pp = _POWER_PERM_CACHE.get(nv)
-    if pp is None:
-        P = np.array(group, dtype=np.int64)
-        pp = (np.int64(1) << P).T  # (nv, |G|): 2^{perm[v]} per group element
-        _POWER_PERM_CACHE[nv] = pp
-    B = np.zeros((len(I.gens), nv), dtype=np.int64)
+    B = np.zeros((nv, len(I.gens)), dtype=np.int64)
     for gi, g in enumerate(I.gens):
         for v, _ in g:
-            B[gi, v] = 1
-    masks = B @ pp                 # (gens, |G|) remapped support masks
-    masks.sort(axis=0)
+            B[v, gi] = 1
+    masks = _perm_arrays(nv, group)[1] @ B   # remapped support masks
+    masks.sort(axis=1)
     return masks
+
+
+def _code_images(I, group):
+    """The (|G|, gens) array whose row k holds one int per generator of the
+    image under group element k, sorted, such that the int order is the
+    order of the sorted (variable, exponent) tuples; None when the ints
+    would not fit in 63 bits.
+
+    A pair (v, e) is the digit v*E + e (E the largest exponent), so digits
+    sort as pairs; a generator is its ascending digits in base
+    nvars*E + 1, padded with zero digits, which keeps a prefix below every
+    extension."""
+    import numpy as np
+
+    nv = I.ring.nvars
+    top = max(e for g in I.gens for _, e in g)
+    width = max(len(g) for g in I.gens)
+    base = nv * top + 1
+    if base ** width >= 1 << 63:
+        return None
+    P = _perm_arrays(nv, group)[0]
+    keys = np.empty((len(group), len(I.gens)), dtype=np.int64)
+    for gi, g in enumerate(I.gens):
+        digits = P[:, [v for v, _ in g]] * top + [e for _, e in g]
+        digits.sort(axis=1)
+        keys[:, gi] = digits @ [base ** (width - 1 - i)
+                                for i in range(len(g))]
+    keys.sort(axis=1)
+    return keys
 
 
 def _packed_rows(masks):
@@ -566,7 +652,7 @@ def _orbit_image_keys(I):
     group = _group_var_perms(I.ring.n)
     if not I.is_squarefree():
         return _generic_images(I, group)
-    return set(_packed_rows(_mask_images(I, group).T))
+    return set(_packed_rows(_mask_images(I, group)))
 
 
 def symmetry_orbits(ideals, strict=False):

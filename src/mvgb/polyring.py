@@ -13,7 +13,7 @@ import re
 from fractions import Fraction
 from math import lcm
 
-from .exactalg import EpsRational, content_scale
+from .exactalg import EpsRational, content_scale, eps
 
 __all__ = [
     "Ring", "Polynomial", "LexOrder", "WeightOrder", "GrevlexOrder",
@@ -559,42 +559,118 @@ def parse_monomial(ring, text):
     return m_from_pairs(pairs)
 
 
+_EPS_TOKEN_RE = re.compile(r"\d+|[-+*/^()e]")
+_MAX_EPS_POWER = 1000   # e^k is held as k + 1 integers
+_MAX_EPS_NESTING = 50   # parentheses, each a few frames of the reader
+
+
+def _split_top(s, sep):
+    """Split s at each character of sep ('+-' or '*') that lies outside
+    parentheses.  A sign stays at the head of the piece it starts; '*' is
+    dropped."""
+    out = []
+    depth = start = 0
+    for i, ch in enumerate(s):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif ch in sep and not depth and (i > start or sep == "*"):
+            out.append(s[start:i])
+            start = i + (sep == "*")
+    out.append(s[start:])
+    return out
+
+
+def _eps_coefficient(text):
+    """Evaluate a coefficient over Q(e) as format_polynomial writes it:
+    integers, e and its powers e^k under + - * / and parentheses.  A zero
+    divisor raises ZeroDivisionError, as a rational one does."""
+    toks = _EPS_TOKEN_RE.findall(text)
+    if "".join(toks) != text:
+        raise ValueError("bad coefficient %r" % text)
+    toks.append("")
+    pos = 0
+
+    def take(*allowed):
+        nonlocal pos
+        t = toks[pos]
+        if t not in allowed:
+            return None
+        pos += 1
+        return t
+
+    def atom(depth):
+        nonlocal pos
+        t = toks[pos]
+        pos += 1
+        if t == "(":
+            if depth == _MAX_EPS_NESTING:
+                raise ValueError("parentheses nested too deep in %r" % text)
+            v = total(depth + 1)
+            if take(")") is None:
+                raise ValueError("unbalanced parentheses in %r" % text)
+        elif t == "e":
+            v = eps()
+            if take("^"):
+                k = toks[pos]
+                if not k.isdigit() or int(k) > _MAX_EPS_POWER:
+                    raise ValueError("bad power of e in %r" % text)
+                pos += 1
+                v = eps(int(k))
+        elif t.isdigit():
+            v = EpsRational(int(t))
+        else:
+            raise ValueError("bad coefficient %r" % text)
+        return v
+
+    def product(depth):
+        v = atom(depth)
+        while (op := take("*", "/")) is not None:
+            v = v * atom(depth) if op == "*" else v / atom(depth)
+        return v
+
+    def total(depth):
+        neg = take("+", "-") == "-"
+        v = product(depth)
+        if neg:
+            v = -v
+        while (op := take("+", "-")) is not None:
+            v = v + product(depth) if op == "+" else v - product(depth)
+        return v
+
+    v = total(0)
+    if toks[pos]:
+        raise ValueError("bad coefficient %r" % text)
+    return v
+
+
 def parse_polynomial(ring, text):
-    """Parse the plain text format, e.g. 'x1*y2 - x2*y1' or '2/3*x1^2'."""
+    """Parse the text format, e.g. 'x1*y2 - x2*y1' or '2/3*x1^2', and over
+    Q(e) coefficients such as '(e^2 - e)*x1' or '((-e - 1)/(e))*y2'."""
     s = text.replace(" ", "")
     if not s:
         raise ValueError("empty polynomial")
-    # split into signed chunks
-    chunks = []
-    start = 0
-    for i, ch in enumerate(s):
-        if ch in "+-" and i > start:
-            chunks.append(s[start:i])
-            start = i
-    chunks.append(s[start:])
     acc = {}
-    for chunk in chunks:
-        sign = 1
-        body = chunk
-        while body and body[0] in "+-":
-            if body[0] == "-":
-                sign = -sign
-            body = body[1:]
+    for chunk in _split_top(s, "+-"):
+        coeff = Fraction(-1 if chunk[0] == "-" else 1)
+        body = chunk[1:] if chunk[0] in "+-" else chunk
         if not body:
             raise ValueError("dangling sign in %r" % text)
-        coeff = Fraction(sign)
         monos = []
-        for tok in body.split("*"):
+        for tok in _split_top(body, "*"):
             if _NUM_RE.match(tok):
                 coeff *= Fraction(tok)
-            elif _VAR_RE.match(tok):
-                m = _VAR_RE.match(tok)
+            elif m := _VAR_RE.match(tok):
                 monos.append((ring.var(m.group(1), int(m.group(2))),
                               int(m.group(3)) if m.group(3) else 1))
+            elif "(" in tok or "e" in tok:
+                coeff = coeff * _eps_coefficient(tok)
             else:
                 raise ValueError("bad factor %r in %r" % (tok, text))
         mono = m_from_pairs(monos)
-        v = acc.get(mono, Fraction(0)) + coeff
+        v = acc.get(mono)
+        v = coeff if v is None else v + coeff
         if v:
             acc[mono] = v
         else:

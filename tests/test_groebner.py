@@ -1,8 +1,11 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvgb import checks
 from mvgb.cameras import (
@@ -16,9 +19,12 @@ from mvgb.groebner import (
     random_weight_orders, reduced_groebner_basis, universal_basis_certificate,
     universal_groebner_check,
 )
+from mvgb.degeneration import collinear_family_generators
+from mvgb.exactalg import EpsRational
 from mvgb.monomial import MonomialIdeal, generic_initial_ideal
 from mvgb.polyring import (
-    Polynomial, Ring, m_one, block_order, parse_monomial, parse_polynomial,
+    LexOrder, Polynomial, Ring, WeightOrder, block_order, format_polynomial,
+    m_div, m_from_pairs, m_mul, m_one, parse_monomial, parse_polynomial,
 )
 
 
@@ -324,3 +330,130 @@ def test_universal_check_default_family():
               + random_weight_orders(ring, 5, seed=3))
     ok, witness = universal_groebner_check(gens, orders)
     assert ok and witness is None
+
+
+def field_normal_form(p, basis, order):
+    """Oracle: division with field arithmetic, p <- p - (c/lc)*q*g, taking
+    the first basis element whose leading monomial divides."""
+    key = order.key
+    G = [(max(g.terms, key=key), g.terms) for g in basis if g.terms]
+    rest, out = dict(p.terms), {}
+    while rest:
+        m = max(rest, key=key)
+        c = rest.pop(m)
+        for lm, terms in G:
+            q = m_div(m, lm)
+            if q is not None:
+                f = c / terms[lm]
+                for gm, gc in terms.items():
+                    if gm != lm:
+                        mm = m_mul(gm, q)
+                        v = rest.get(mm, 0) - f * gc
+                        if v:
+                            rest[mm] = v
+                        else:
+                            rest.pop(mm, None)
+                break
+        else:
+            out[m] = c
+    return Polynomial(p.ring, out)
+
+
+R2 = Ring(2)
+# the ten monomials of degree <= 2 in three of the six variables, so that
+# divisions are frequent
+nf_monomials = st.lists(st.integers(0, 2), max_size=2).map(
+    lambda vs: m_from_pairs((v, 1) for v in vs))
+small = st.integers(-3, 3)
+rational_coefficients = st.builds(Fraction, small.filter(bool),
+                                  st.integers(1, 6))
+eps_coefficients = st.builds(lambda a, b, c, d: EpsRational((a, b), (c, d)),
+                             small, small.filter(bool), small,
+                             st.integers(1, 3))
+
+
+def nf_polynomials(eps):
+    coeffs = (st.one_of(rational_coefficients, eps_coefficients) if eps
+              else rational_coefficients)
+    return st.lists(st.tuples(nf_monomials, coeffs), min_size=1,
+                    max_size=5).map(
+        lambda items: Polynomial(R2, dict(items)))
+
+
+NF_ORDERS = [block_order(R2), WeightOrder(R2, [3, 1, 4, 1, 5, 9]),
+             LexOrder(R2, (5, 3, 1, 4, 2, 0))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_normal_form_matches_field_division(data):
+    # Q basis and Q input, Q basis and Q(e) input, a Q(e) basis holding
+    # pure-Q elements with either input; the bases need not be Groebner
+    eps_basis, eps_input = data.draw(st.tuples(st.booleans(), st.booleans()))
+    basis = data.draw(st.lists(nf_polynomials(False), min_size=1, max_size=3))
+    if eps_basis:
+        basis += data.draw(st.lists(nf_polynomials(True), min_size=1,
+                                    max_size=2))
+        basis = data.draw(st.permutations(basis))
+    p = data.draw(nf_polynomials(eps_input))
+    order = data.draw(st.sampled_from(NF_ORDERS))
+    got = normal_form(p, basis, order)
+    want = field_normal_form(p, basis, order)
+    assert got == want
+    assert format_polynomial(got) == format_polynomial(want)
+    assert normal_form(-p, basis, order) == -want
+
+
+def test_normal_form_rescales_earlier_remainder_terms():
+    # x1 is set aside before x2 is reduced by 2*x2 + 1, whose leading
+    # coefficient does not divide 1: the integer remainder doubles x1 too
+    order = block_order(R2)
+    got = normal_form(P(R2, "x1 + x2"), [P(R2, "2*x2 + 1")], order)
+    assert got == P(R2, "x1 - 1/2")
+
+
+def test_normal_form_of_eps_minors_against_mixed_basis():
+    # the reduced basis of the collinear family mixes Q(e) trinomials with
+    # the pure-Q binomials x_i y_j - x_j y_i
+    gb = reduced_groebner_basis(ideal(R3, collinear_family_generators(3)))
+    assert any(g.domain() == "Q" for g in gb)
+    assert any(g.domain() == "Q(e)" for g in gb)
+    order = block_order(R3)
+    for p in (P(R3, "2/3*x1*x2*z3 - 5*x3^2"), P(R3, "-x1*y2*z3 + 1/7*y1"),
+              P(R3, "(1/(e))*x1*x3*z2 - 3/2*x2*y3*z1")):
+        got = normal_form(p, gb, order)
+        assert format_polynomial(got) == format_polynomial(
+            field_normal_form(p, gb, order))
+
+
+def _basis_transcript(seed, n):
+    """Reduced bases and S-pair verdicts under block, weight and permuted
+    lex orders, as text."""
+    rng = random.Random(seed)
+    c = random_config(rng, n)
+    ring = c.ring()
+    gens = multiview_generators(c)
+    small = minimal_multiview_generators(c)
+    perms = permuted_block_lex_orders(ring)
+    orders = ([block_order(ring)] + random_weight_orders(ring, 2, seed=seed)
+              + [perms[k] for k in (1, len(perms) // 2, len(perms) - 1)])
+    lines = []
+    for order in orders:
+        gb = reduced_groebner_basis(ideal(ring, gens), order)
+        for g in gens:
+            assert field_normal_form(g, gb, order).is_zero
+        lines += [format_polynomial(g) for g in gb]
+        lines.append(repr(is_groebner_basis(gens, order)))
+        lines.append(repr(is_groebner_basis(small, order)))
+        lines.append(repr(is_groebner_basis(small, order, use_chain=False)))
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("seed,n,digest", [
+    (21, 2, "52329dc627df86539f44874154f96198d8e429b20594810801ba8415370b2231"),
+    (22, 3, "8b7bde3017e1e0fa5ad9e851ed653f03804ee186bff20d0a89991cdbdeba3aec"),
+])
+def test_bases_and_witnesses_are_pinned(seed, n, digest):
+    # digests of the transcript as the field-arithmetic engine wrote it
+    text = _basis_transcript(seed, n)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

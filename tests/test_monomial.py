@@ -2,7 +2,7 @@ import itertools
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mvgb.hilbscheme import monomial_ideal_census
@@ -11,8 +11,8 @@ from mvgb.monomial import (
     generic_initial_ideal, generic_shelling_order, ideal_key, is_borel_fixed,
     is_shelling, minimal_primes, multidegree_support,
     multiview_hilbert_function, multiview_hilbert_mismatch, relabel,
-    standard_count_box, standard_monomial_count, stanley_reisner_complex,
-    symmetry_orbits,
+    standard_count_box, standard_monomial_count, standard_monomials,
+    stanley_reisner_complex, symmetry_orbits,
 )
 from mvgb.polyring import (
     Ring, m_divides, m_from_pairs, m_mul, m_one, parse_monomial,
@@ -99,6 +99,54 @@ def test_count_standard_non_squarefree():
     I = MonomialIdeal(r2, [mono(r2, "x1^2")])
     assert standard_monomial_count(I, (2, 0)) == brute_standard_count(I, (2, 0))
     assert standard_monomial_count(I, (2, 0)) == 5
+
+
+def test_count_non_squarefree_in_high_degree():
+    # x1 appears at most once: 81 monomials of degree 40 on the first block
+    # and all C(42, 2) = 861 on the second
+    r2 = Ring(2)
+    I = MonomialIdeal(r2, [mono(r2, "x1^2")])
+    assert standard_monomial_count(I, (40, 40)) == 81 * 861
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_count_non_squarefree_matches_enumeration(data):
+    n = data.draw(st.integers(1, 3))
+    ring = Ring(n)
+    gens = data.draw(st.lists(st.lists(
+        st.tuples(st.integers(0, ring.nvars - 1), st.integers(1, 4)),
+        min_size=1, max_size=4), min_size=1, max_size=4))
+    gens = [m_from_pairs(g) for g in gens]
+    I = MonomialIdeal(ring, gens)
+    assume(not I.is_squarefree())
+    u = tuple(data.draw(st.integers(0, 5 if n < 3 else 3)) for _ in range(n))
+    assert standard_monomial_count(I, u) == len(standard_monomials(I, u))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_box_non_squarefree_matches_enumeration(data):
+    n = data.draw(st.integers(1, 3))
+    ring = Ring(n)
+    gens = data.draw(st.lists(st.lists(
+        st.tuples(st.integers(0, ring.nvars - 1), st.integers(1, 4)),
+        min_size=1, max_size=4), min_size=1, max_size=6))
+    I = MonomialIdeal(ring, [m_from_pairs(g) for g in gens])
+    assume(not I.is_squarefree())
+    box = standard_count_box(I, 2)
+    assert box == {u: len(standard_monomials(I, u)) for u in box}
+
+
+def test_box_of_pure_powers_on_every_variable():
+    # every branch of every split reaches the same ideals again
+    ring = Ring(3)
+    I = MonomialIdeal(ring, [m_from_pairs([(v, 4)])
+                             for v in range(ring.nvars)])
+    box = standard_count_box(I, 3)
+    assert box == {u: len(standard_monomials(I, u)) for u in box}
+    with pytest.raises(ValueError):
+        multiview_hilbert_mismatch(I)
 
 
 def test_box_table_matches_closed_form():
@@ -365,3 +413,24 @@ def test_strict_orbits_on_closed_and_broken_sets(data):
         broken.pop(data.draw(st.integers(0, len(broken) - 1)))
         # open unless the dropped member was an orbit of its own
         same_orbits(broken, strict=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_canonical_form_matches_explicit_orbit(data):
+    # the images by explicit relabeling are the reference for the minimal
+    # image and the orbit size; exponents up to 3, or scaled by 10^9, which
+    # overflows the packed codes once a generator has two variables
+    ring = RINGS[data.draw(st.sampled_from((2, 3)))]
+    I = data.draw(ideals(ring))
+    if data.draw(st.booleans()):
+        I = MonomialIdeal(ring, [tuple((v, e * 10 ** 9) for v, e in g)
+                                 for g in I.gens])
+    images = orbit_of(I)
+    label, size = canonical_form(I)
+    assert size == len(images)
+    if I.is_squarefree():
+        assert label == ("sf", min(tuple(sorted(J.support_masks()))
+                                   for J in images))
+    else:
+        assert label == ("gen", min(tuple(sorted(J.gens)) for J in images))

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvgb.exactalg import eps
+from mvgb.degeneration import collinear_family_generators
+from mvgb.exactalg import EpsRational, eps
+from mvgb.groebner import ideal, reduced_groebner_basis
 from mvgb.polyring import (
     MatrixOrder, Polynomial, Ring, WeightOrder, canonical_string,
     format_polynomial, m_from_pairs, m_mul, m_one, block_order,
@@ -153,6 +155,59 @@ def test_text_roundtrip(items):
         p = p + Polynomial.monomial(R3, m, c)
     s = format_polynomial(p)
     assert parse_polynomial(R3, s) == p
+
+
+eps_polys = st.lists(st.integers(-4, 4), min_size=1, max_size=3).map(tuple)
+eps_coefficients = st.one_of(
+    st.fractions(min_value=-5, max_value=5, max_denominator=7),
+    st.builds(EpsRational, eps_polys,
+              eps_polys.filter(lambda d: any(d))))
+
+
+@settings(max_examples=150)
+@given(st.lists(st.tuples(monomials(max_exp=3), eps_coefficients),
+                min_size=1, max_size=5))
+def test_text_roundtrip_over_eps(items):
+    p = Polynomial(R3, {})
+    for m, c in items:
+        p = p + Polynomial.monomial(R3, m, c)
+    s = format_polynomial(p)
+    q = parse_polynomial(R3, s)
+    assert q == p
+    assert format_polynomial(q) == s
+
+
+def test_eps_basis_text_roundtrip():
+    ring = Ring(3)
+    gb = reduced_groebner_basis(
+        ideal(ring, collinear_family_generators(3)))
+    for g in gb:
+        assert parse_polynomial(ring, format_polynomial(g)) == g
+    p = parse_polynomial(
+        ring, "x1*x2*z3 + ((-e - 1)/(e))*x1*x3*z2 + (1/(e))*x2*x3*z1")
+    assert p.terms[mono(ring, "x1*x3*z2")] == (-eps(1) - 1) / eps(1)
+    assert parse_polynomial(ring, "(e^2 - e)*x2*y1*z3 + 2*e^3*x1 - e") == \
+        Polynomial(ring, {mono(ring, "x2*y1*z3"): eps(2) - eps(1),
+                          mono(ring, "x1"): 2 * eps(3), m_one: -eps(1)})
+    assert parse_polynomial(ring, "1/(e)*x1") == \
+        Polynomial.monomial(ring, mono(ring, "x1"), eps(-1))
+    assert parse_polynomial(ring, "(" * 50 + "e" + ")" * 50 + "*x1") == \
+        Polynomial.monomial(ring, mono(ring, "x1"), eps(1))
+
+
+@pytest.mark.parametrize("text", [
+    "(e*x1", "(e))*x1", "e^x1", "((e)*x1", "x1^2e", "(e +)*x1", "x1**x2",
+    "x1 +", "2e*x1", "(e + 1)^2*x1", "e^1001*x1", "2^3*x1",
+    "(" * 51 + "e" + ")" * 51 + "*x1", "(" * 5000 + "e" + ")" * 5000])
+def test_parse_rejects_malformed_eps_text(text):
+    with pytest.raises(ValueError):
+        parse_polynomial(R3, text)
+
+
+def test_parse_eps_zero_divisor_raises_as_over_q():
+    for text in ("1/(e - e)*x1", "1/0*x1"):
+        with pytest.raises(ZeroDivisionError):
+            parse_polynomial(R3, text)
 
 
 def test_parse_specific():
