@@ -251,10 +251,7 @@ def cmd_decompose(args):
 
 
 def cmd_tangent(args):
-    path = args.ideal or args.file
-    if not path:
-        raise InputError("need an ideal file")
-    I = _monomial_ideal_of(load_ideal(path, args.n))
+    I = _monomial_ideal_of(load_ideal(args.file, args.n))
     _emit({"schema_version": SCHEMA_VERSION,
            "tangent_dimension": tan.tangent_dimension(I)})
     return 0
@@ -403,8 +400,7 @@ def build_parser():
     pd.set_defaults(fn=cmd_decompose)
 
     pt = sub.add_parser("tangent", help="tangent dimension at a monomial ideal")
-    pt.add_argument("file", nargs="?")
-    pt.add_argument("--ideal")
+    pt.add_argument("file")
     pt.add_argument("--n", type=int)
     pt.set_defaults(fn=cmd_tangent)
 

@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 from math import gcd, lcm
 
-from .exactalg import EpsRational, _pdiv_exact, _pgcd, _pmul, content_scale
+from .exactalg import EpsRational, content_scale
 from .monomial import (
     MonomialIdeal, multiview_hilbert_mismatch, standard_monomial_count,
 )
@@ -58,35 +58,10 @@ def _cancel(eps):
     return _cancel_eps if eps else _cancel_q
 
 
-def _content_normalize(terms, key, eps):
-    """Scale to a canonical integral form, leading sign positive: primitive
-    polynomial coefficients when some coefficient lies outside Q, else
-    coprime integers, held as ints in the domain Q and as Fractions in the
-    domain Q(e)."""
-    if not terms:
-        return terms
-    lead = max(terms, key=key)
-    if _is_eps([terms]):
-        coeffs = {m: c if isinstance(c, EpsRational) else EpsRational(c)
-                  for m, c in terms.items()}
-        den = (1,)
-        for c in coeffs.values():
-            den = _pdiv_exact(_pmul(den, c.den), _pgcd(den, c.den))
-        nums = {m: _pmul(c.num, _pdiv_exact(den, c.den))
-                for m, c in coeffs.items()}
-        g = ()
-        for v in nums.values():
-            g = _pgcd(g, v)
-        lead_num = _pdiv_exact(nums[lead], g)
-        flip = lead_num[-1] < 0
-        out = {}
-        for m, v in nums.items():
-            v = _pdiv_exact(v, g)
-            out[m] = EpsRational(tuple(-x for x in v) if flip else v)
-        return out
-    scale = content_scale(terms.values(), terms[lead])
-    if eps:
-        return {m: c * scale for m, c in terms.items()}
+def _content_normalize(terms, key):
+    """The primitive integer multiple of a polynomial over Q, leading sign
+    positive, with int coefficients."""
+    scale = content_scale(terms.values(), terms[max(terms, key=key)])
     return {m: (c * scale).numerator for m, c in terms.items()}
 
 
@@ -98,7 +73,7 @@ def _prep(terms, key):
 def _basis(polys, key, eps):
     """Prepared triples: primitive integer multiples over Q (which leave
     every remainder unchanged), the coefficients as given over Q(e)."""
-    return [_prep(t if eps else _content_normalize(t, key, eps), key)
+    return [_prep(t if eps else _content_normalize(t, key), key)
             for t in polys if t]
 
 
@@ -180,7 +155,7 @@ def _buchberger(gen_dicts, order):
     key = order.key
     eps = _is_eps(gen_dicts)
     cancel = _cancel(eps)
-    G = [_prep(_content_normalize(t, key, eps), key) for t in gen_dicts if t]
+    G = _basis(gen_dicts, key, eps)
     G.sort(key=lambda g: (m_deg(g[0]), key(g[0])))
     pairs = []
     pending = set()
@@ -201,7 +176,7 @@ def _buchberger(gen_dicts, order):
             continue
         r, _ = _nf_dict(_spoly(G[i], G[j], cancel), G, key, cancel)
         if r:
-            G.append(_prep(_content_normalize(r, key, eps), key))
+            G += _basis([r], key, eps)
             push_pairs(len(G) - 1)
     return _reduce_basis(G, key, eps)
 

@@ -123,6 +123,13 @@ def test_input_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_tangent_needs_its_file(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["tangent"])
+    assert exc.value.code == 2
+    assert "file" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["gb", "--order", "weight:[1,a]"],
     ["gb", "--order", "weight:[1/0,1,1,1,1,1]"],

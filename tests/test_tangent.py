@@ -1,13 +1,18 @@
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mvgb.monomial import (
     MonomialIdeal, collinear_initial_ideal, generic_initial_ideal, relabel,
+    standard_monomials,
 )
-from mvgb.polyring import Ring, parse_monomial
+from mvgb import tangent
+from mvgb.polyring import Ring, m_from_pairs, parse_monomial
 from mvgb.tangent import (
     collinear_tangent_maps, tangent_dimension,
     tangent_dimension_with_triples, verify_collinear_tangent_basis,
@@ -49,7 +54,6 @@ def brute_tangent_dimension(I):
     (one block of variables per camera), with its own enumeration of
     monomials and its own divisibility test.
     """
-    import itertools
     from mvgb.monomial import ideal_lines
     letters, n = I.ring.letters, I.ring.n
     k = len(letters)
@@ -147,8 +151,7 @@ def test_triple_constraints_do_not_change_rank():
 
 
 def test_generic_ideal_dimension_exceeds_component():
-    # golden value, cross-checked by the dense oracle above and recomputed
-    # once with a second constraint ordering
+    # golden value, cross-checked by the dense oracle above
     d = tangent_dimension(generic_initial_ideal(3))
     assert d == 21
     assert d >= 18
@@ -190,18 +193,55 @@ def test_explicit_basis_verifies():
         assert details["tangent_dimension"] == 11 * n - 15
 
 
-def test_rank_stable_under_constraint_reordering():
-    import random
+def _off_shift(maps):
+    """Send one generator of a map with several generators to another
+    standard monomial of its multidegree."""
+    I = collinear_initial_ideal(4)
+    i = next(i for i, (_, table) in enumerate(maps) if len(table) > 1)
+    name, table = maps[i]
+    g, img = next(iter(table.items()))
+    other = next(m for m in standard_monomials(I, I.ring.multidegree(g))
+                 if m != img)
+    return maps[:i] + [(name, {**table, g: other})] + maps[i + 1:]
 
-    from mvgb.tangent import _sparse_rank, _tangent_blocks
 
-    rng = random.Random(3)
-    for I in (generic_initial_ideal(3), collinear_initial_ideal(4)):
-        _, blocks = _tangent_blocks(I)
-        total_a = sum(n - _sparse_rank(rows) for _, n, rows in blocks)
-        total_b = 0
-        for _, n, rows in blocks:
-            rows = list(rows)
-            rng.shuffle(rows)
-            total_b += n - _sparse_rank(rows)
-        assert total_a == total_b == tangent_dimension(I)
+@pytest.mark.parametrize("damage, witness", [
+    (lambda maps: maps[:-1], "missing"),
+    (lambda maps: [("merged", {**maps[0][1], **maps[1][1]})] + maps[2:],
+     "bad_map"),
+    (lambda maps: maps + maps[-1:], "bad_map"),
+    (_off_shift, "bad_map"),
+], ids=["drop", "merge", "duplicate", "off_shift"])
+def test_explicit_basis_rejects_wrong_maps(monkeypatch, damage, witness):
+    maps = damage(tangent.collinear_tangent_maps(4))
+    monkeypatch.setattr(tangent, "collinear_tangent_maps", lambda n: maps)
+    ok, details = verify_collinear_tangent_basis(4)
+    assert not ok and witness in details, details
+    assert details["tangent_dimension"] == 29
+
+
+@st.composite
+def small_monomial_ideals(draw):
+    """Ideals in Ring(2) with up to four generators of degree <= 2 per
+    camera: squarefree ones, and ones with exponents up to 2."""
+    top = draw(st.sampled_from((1, 2)))
+    parts = [e for e in itertools.product(range(top + 1), repeat=3)
+             if sum(e) <= 2]
+    ring = Ring(2)
+    gens = []
+    for _ in range(draw(st.integers(1, 4))):
+        e = draw(st.sampled_from(parts)) + draw(st.sampled_from(parts))
+        if any(e):
+            gens.append(m_from_pairs(
+                (ring.var(L, c), k) for (c, L), k in
+                zip(itertools.product((1, 2), "xyz"), e) if k))
+    assume(gens)
+    return MonomialIdeal(ring, gens)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_monomial_ideals())
+def test_weight_graph_count_matches_dense_oracle(I):
+    d = tangent_dimension(I)
+    assert tangent_dimension_with_triples(I) == d
+    assert brute_tangent_dimension(I) == d
