@@ -64,23 +64,19 @@ def _pdiv_exact(a, b):
         return ()
     if len(a) < len(b):
         raise ValueError("inexact polynomial division")
-    rem = [Fraction(x) for x in a]
-    lead = Fraction(b[-1])
-    q = [Fraction(0)] * (len(a) - len(b) + 1)
+    rem = list(a)
+    q = [0] * (len(a) - len(b) + 1)
     for k in range(len(a) - len(b), -1, -1):
-        coef = rem[k + len(b) - 1] / lead
+        coef, r = divmod(rem[k + len(b) - 1], b[-1])
+        if r:
+            raise ValueError("inexact polynomial division")
         q[k] = coef
         if coef:
             for j, y in enumerate(b):
                 rem[k + j] -= coef * y
     if any(rem):
         raise ValueError("inexact polynomial division")
-    out = []
-    for coef in q:
-        if coef.denominator != 1:
-            raise ValueError("inexact polynomial division")
-        out.append(int(coef))
-    return _trim(out)
+    return _trim(q)
 
 
 def _ppositive(a):
@@ -88,30 +84,30 @@ def _ppositive(a):
 
 
 def _pgcd(a, b):
-    """Gcd in Z[e] with positive leading coefficient, integer content included."""
+    """Gcd in Z[e] with positive leading coefficient, integer content
+    included: a primitive pseudo-remainder sequence in ints."""
     if not a:
         return _ppositive(b)
     if not b:
         return _ppositive(a)
     ca, cb = gcd(*a), gcd(*b)
-    fa = [Fraction(x, ca) for x in a]
-    fb = [Fraction(x, cb) for x in b]
+    fa, fb = [x // ca for x in a], [x // cb for x in b]
     while fb:
-        # fa mod fb over Q
+        # fa <- the primitive part of a nonzero multiple of (fa mod fb)
         while fa and len(fa) >= len(fb):
-            coef = fa[-1] / fb[-1]
+            g = gcd(fa[-1], fb[-1])
+            s, t = fb[-1] // g, fa[-1] // g
             shift = len(fa) - len(fb)
+            fa = [s * x for x in fa]
             for j, y in enumerate(fb):
-                fa[shift + j] -= coef * y
+                fa[shift + j] -= t * y
             while fa and fa[-1] == 0:
                 fa.pop()
+        if fa:
+            c = gcd(*fa)
+            fa = [x // c for x in fa]
         fa, fb = fb, fa
-    # scale fa to a primitive integer polynomial with positive leading coeff
-    den = lcm(*{x.denominator for x in fa})
-    ints = [int(x * den) for x in fa]
-    g = gcd(*ints)
-    prim = _trim(x // g for x in ints)
-    return _pmul(_ppositive(prim), (gcd(ca, cb),))
+    return _pmul(_ppositive(tuple(fa)), (gcd(ca, cb),))
 
 
 def _pord(a):
@@ -150,15 +146,36 @@ def _pstr(a):
 
 def _coeffs_of(v):
     """Coerce v to (integer coefficient tuple, integer denominator)."""
-    if isinstance(v, int):
-        return (v,), 1
-    if isinstance(v, Fraction):
+    if isinstance(v, (int, Fraction)):
         return (v.numerator,), v.denominator
     if isinstance(v, (tuple, list)):
+        if all(isinstance(x, int) for x in v):
+            return tuple(v), 1
         fr = [Fraction(x) for x in v]
         den = lcm(*{x.denominator for x in fr})
         return tuple(int(x * den) for x in fr), den
     raise TypeError("cannot build a rational function from %r" % (v,))
+
+
+def _lowest(n, d):
+    """n/d in lowest terms, for trimmed int tuples: gcd(n, d) = 1 in Z[e] and
+    d has a positive leading coefficient."""
+    if not d:
+        raise ZeroDivisionError("zero denominator")
+    if not n:
+        return (), (1,)
+    if len(n) == 1 or len(d) == 1:
+        # a constant side: the gcd is the integer gcd of all coefficients
+        g = gcd(gcd(*n), gcd(*d))
+        if g != 1:
+            n, d = tuple(x // g for x in n), tuple(x // g for x in d)
+    else:
+        g = _pgcd(n, d)
+        if g != (1,):
+            n, d = _pdiv_exact(n, g), _pdiv_exact(d, g)
+    if d[-1] < 0:
+        return _pneg(n), _pneg(d)
+    return n, d
 
 
 class EpsRational:
@@ -180,17 +197,7 @@ class EpsRational:
             nc, nd = _coeffs_of(num)
             dc, dd = _coeffs_of(den)
             n, d = _pmul(nc, (dd,)), _pmul(dc, (nd,))
-        if not d:
-            raise ZeroDivisionError("zero denominator")
-        if not n:
-            object.__setattr__(self, "num", ())
-            object.__setattr__(self, "den", (1,))
-            return
-        g = _pgcd(n, d)
-        if g != (1,):
-            n, d = _pdiv_exact(n, g), _pdiv_exact(d, g)
-        if d[-1] < 0:
-            n, d = _pneg(n), _pneg(d)
+        n, d = _lowest(n, d)
         object.__setattr__(self, "num", n)
         object.__setattr__(self, "den", d)
 
@@ -198,11 +205,20 @@ class EpsRational:
         raise AttributeError("EpsRational is immutable")
 
     @staticmethod
+    def _of(num, den):
+        """The instance with the given reduced coefficient tuples."""
+        r = EpsRational.__new__(EpsRational)
+        object.__setattr__(r, "num", num)
+        object.__setattr__(r, "den", den)
+        return r
+
+    @staticmethod
     def _lift(other):
         if isinstance(other, EpsRational):
             return other
         if isinstance(other, (int, Fraction)):
-            return EpsRational(other)
+            return EpsRational._of((other.numerator,) if other else (),
+                                   (other.denominator,))
         return None
 
     @property
@@ -216,16 +232,15 @@ class EpsRational:
         o = self._lift(other)
         if o is None:
             return NotImplemented
+        if self.den == o.den:
+            return EpsRational._of(*_lowest(_padd(self.num, o.num), o.den))
         n = _padd(_pmul(self.num, o.den), _pmul(o.num, self.den))
-        return EpsRational(n, _pmul(self.den, o.den))
+        return EpsRational._of(*_lowest(n, _pmul(self.den, o.den)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        r = EpsRational.__new__(EpsRational)
-        object.__setattr__(r, "num", _pneg(self.num))
-        object.__setattr__(r, "den", self.den)
-        return r
+        return EpsRational._of(_pneg(self.num), self.den)
 
     def __sub__(self, other):
         o = self._lift(other)
@@ -243,7 +258,8 @@ class EpsRational:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return EpsRational(_pmul(self.num, o.num), _pmul(self.den, o.den))
+        return EpsRational._of(*_lowest(_pmul(self.num, o.num),
+                                        _pmul(self.den, o.den)))
 
     __rmul__ = __mul__
 
@@ -253,7 +269,8 @@ class EpsRational:
             return NotImplemented
         if not o.num:
             raise ZeroDivisionError("division by zero")
-        return EpsRational(_pmul(self.num, o.den), _pmul(self.den, o.num))
+        return EpsRational._of(*_lowest(_pmul(self.num, o.den),
+                                        _pmul(self.den, o.num)))
 
     def __rtruediv__(self, other):
         o = self._lift(other)
@@ -280,8 +297,9 @@ class EpsRational:
         return self.num == o.num and self.den == o.den
 
     def __hash__(self):
-        if self.den == (1,) and len(self.num) <= 1:
-            return hash(Fraction(self.num[0] if self.num else 0))
+        if len(self.num) <= 1 and len(self.den) == 1:
+            # a constant hashes as the Fraction it equals
+            return hash(Fraction(self.num[0] if self.num else 0, self.den[0]))
         return hash((self.num, self.den))
 
     def val(self):

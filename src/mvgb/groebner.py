@@ -45,7 +45,9 @@ def _is_eps(polys):
 
 
 def _cancel_q(lc, c):
-    g = gcd(lc, c)
+    # g takes the sign of lc, so a = lc/g > 0 and the running scale of a
+    # reduction only grows: it is 1 exactly when p was never multiplied
+    g = gcd(lc, c) if lc > 0 else -gcd(lc, c)
     return lc // g, c // g
 
 
@@ -58,11 +60,18 @@ def _cancel(eps):
     return _cancel_eps if eps else _cancel_q
 
 
-def _content_normalize(terms, key):
-    """The primitive integer multiple of a polynomial over Q, leading sign
-    positive, with int coefficients."""
-    scale = content_scale(terms.values(), terms[max(terms, key=key)])
+def _content_normalize(terms):
+    """The primitive integer multiple of a polynomial over Q, with int
+    coefficients.  Its sign is left as it comes: scaling a basis element by a
+    nonzero constant changes no remainder, under any order."""
+    scale = content_scale(terms.values(), 1)
     return {m: (c * scale).numerator for m, c in terms.items()}
+
+
+def _primitive(polys, eps):
+    """The nonzero term dicts, as primitive integer multiples over Q and with
+    the coefficients as given over Q(e)."""
+    return [t if eps else _content_normalize(t) for t in polys if t]
 
 
 def _prep(terms, key):
@@ -71,10 +80,8 @@ def _prep(terms, key):
 
 
 def _basis(polys, key, eps):
-    """Prepared triples: primitive integer multiples over Q (which leave
-    every remainder unchanged), the coefficients as given over Q(e)."""
-    return [_prep(t if eps else _content_normalize(t, key), key)
-            for t in polys if t]
+    """Prepared triples (leading monomial, coefficient, terms)."""
+    return [_prep(t, key) for t in _primitive(polys, eps)]
 
 
 def _nf_dict(p, G, key, cancel):
@@ -354,16 +361,10 @@ def minimal_generators(I):
 # ---------------------------------------------------------------------------
 # basis checking and order families
 
-def is_groebner_basis(gens, order, use_chain=True):
-    """Does the set reduce all its S-polynomials to zero under the order?
-
-    Returns (flag, witness); the witness is the offending generator pair.
-    """
-    key = order.key
-    polys = [p.terms for p in gens]
-    eps = _is_eps(polys)
+def _pairs_reduce_to_zero(polys, key, eps, use_chain=True):
+    """(flag, witness) of is_groebner_basis for term dicts from _primitive."""
     cancel = _cancel(eps)
-    G = _basis(polys, key, eps)
+    G = [_prep(t, key) for t in polys]
     done = set()
     idx = sorted(range(len(G)), key=lambda i: (m_deg(G[i][0]), key(G[i][0])))
     for a in range(len(idx)):
@@ -377,6 +378,17 @@ def is_groebner_basis(gens, order, use_chain=True):
                 return False, (i, j)
             done.add((min(i, j), max(i, j)))
     return True, None
+
+
+def is_groebner_basis(gens, order, use_chain=True):
+    """Does the set reduce all its S-polynomials to zero under the order?
+
+    Returns (flag, witness); the witness is the offending generator pair.
+    """
+    polys = [p.terms for p in gens]
+    eps = _is_eps(polys)
+    return _pairs_reduce_to_zero(_primitive(polys, eps), order.key, eps,
+                                 use_chain)
 
 
 def letter_rankings(n):
@@ -418,9 +430,11 @@ def universal_groebner_check(gens, orders, jobs=1):
     """
     if jobs != 1:
         raise ValueError("only jobs=1 is supported")
-    gens = list(gens)
+    polys = [p.terms for p in gens]
+    eps = _is_eps(polys)
+    polys = _primitive(polys, eps)
     for k, order in enumerate(orders):
-        ok, pair = is_groebner_basis(gens, order)
+        ok, pair = _pairs_reduce_to_zero(polys, order.key, eps)
         if not ok:
             return False, {"order_index": k, "pair": pair}
     return True, None

@@ -1,9 +1,14 @@
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from mvgb.exactalg import EpsRational, Matrix, det, eps, inverse, kernel, rank
+from mvgb.exactalg import (
+    EpsRational, Matrix, _pdiv_exact, det, eps, inverse, kernel, rank,
+)
 
 
 def cofactor_det(rows):
@@ -166,3 +171,137 @@ def test_repeated_camera_rows_vanish():
     m = Matrix(rows)
     assert det(m) == 0
     assert det(m) == cofactor_det(m.rows)
+
+
+def test_constant_hashes_as_the_fraction_it_equals():
+    for q in (Fraction(1, 2), Fraction(-3, 7), Fraction(0), Fraction(5)):
+        a = EpsRational(q)
+        assert a == q and hash(a) == hash(q)
+    assert len({EpsRational(1, 2), Fraction(1, 2)}) == 1
+    assert hash(EpsRational((3,), (-6,))) == hash(Fraction(-1, 2))
+
+
+def test_pdiv_exact_raises_on_inexact_division():
+    assert _pdiv_exact((2, 5, 2), (1, 2)) == (2, 1)
+    with pytest.raises(ValueError):
+        _pdiv_exact((1, 1), (2, 2))  # quotient 1/2: exact over Q only
+    with pytest.raises(ValueError):
+        _pdiv_exact((1, 2), (2,))  # second quotient coefficient 1/2
+    with pytest.raises(ValueError):
+        _pdiv_exact((1, 0, 1), (0, 1))  # e^2 + 1 leaves remainder 1
+    with pytest.raises(ValueError):
+        _pdiv_exact((3, 2), (1, 2))  # quotient 1, remainder 2
+    with pytest.raises(ValueError):
+        _pdiv_exact((1,), (0, 1))
+    with pytest.raises(ZeroDivisionError):
+        _pdiv_exact((1,), ())
+
+
+# ---------------------------------------------------------------------------
+# reference normalization: Euclid over Fractions, independent of mvgb
+
+def _ref_trim(a):
+    a = list(a)
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _ref_times(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _ref_plus(a, b):
+    out = [0] * max(len(a), len(b))
+    for c in (a, b):
+        for i, x in enumerate(c):
+            out[i] += x
+    return out
+
+
+def _ref_gcd(a, b):
+    """Primitive gcd over Q scaled to Z[e], positive leading coefficient,
+    times the gcd of the two contents."""
+    ca, cb = gcd(*a), gcd(*b)
+    fa = [Fraction(x, ca) for x in a]
+    fb = [Fraction(x, cb) for x in b]
+    while fb:
+        while fa and len(fa) >= len(fb):
+            coef = fa[-1] / fb[-1]
+            shift = len(fa) - len(fb)
+            for j, y in enumerate(fb):
+                fa[shift + j] -= coef * y
+            fa = _ref_trim(fa)
+        fa, fb = fb, fa
+    den = lcm(*(x.denominator for x in fa))
+    ints = [int(x * den) for x in fa]
+    g = gcd(*ints) * (1 if ints[-1] > 0 else -1)
+    return [x // g * gcd(ca, cb) for x in ints]
+
+
+def _ref_quotient(a, b):
+    rem = [Fraction(x) for x in a]
+    q = [Fraction(0)] * (len(a) - len(b) + 1)
+    for k in range(len(q) - 1, -1, -1):
+        q[k] = rem[k + len(b) - 1] / b[-1]
+        for j, y in enumerate(b):
+            rem[k + j] -= q[k] * y
+    assert not any(rem) and all(x.denominator == 1 for x in q)
+    return [int(x) for x in q]
+
+
+def _ref_lowest(num, den):
+    n, d = _ref_trim(num), _ref_trim(den)
+    if not n:
+        return (), (1,)
+    g = _ref_gcd(n, d)
+    n, d = _ref_quotient(n, g), _ref_quotient(d, g)
+    if d[-1] < 0:
+        n, d = [-x for x in n], [-x for x in d]
+    return tuple(n), tuple(d)
+
+
+_coeffs = st.lists(st.integers(-30, 30), min_size=1, max_size=4)
+
+
+@st.composite
+def _num_den(draw):
+    """Integer tuples with a common factor; the shape forces constant
+    numerators and denominators and zero numerators to be drawn."""
+    shape = draw(st.sampled_from(["general", "const_num", "const_den",
+                                  "zero_num"]))
+    f = draw(st.lists(st.integers(-6, 6), min_size=1, max_size=3).filter(any))
+    num = draw(_coeffs)
+    den = draw(_coeffs.filter(any))
+    if shape == "const_num":
+        num, f = num[:1], f[:1] if f[0] else [1]
+    elif shape == "const_den":
+        den, f = [next(x for x in den if x)], f[:1] if f[0] else [-1]
+    elif shape == "zero_num":
+        num = [0] * len(num)
+    return tuple(_ref_times(num, f)), tuple(_ref_times(den, f))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_num_den(), _num_den())
+@example(((0, 0), (3, -2)), ((4,), (0, -6)))
+@example(((6, 9), (-3,)), ((2, 0, 2), (0, 0, -4)))
+def test_normalization_matches_fraction_euclid(p, q):
+    (n1, d1), (n2, d2) = p, q
+    a, b = EpsRational(n1, d1), EpsRational(n2, d2)
+    assert (a.num, a.den) == _ref_lowest(n1, d1)
+    assert (b.num, b.den) == _ref_lowest(n2, d2)
+    # the operators build from reduced tuples; compare with the reference
+    # normalization of the unreduced cross products
+    num1, den1, num2, den2 = a.num or (0,), a.den, b.num or (0,), b.den
+    s = _ref_plus(_ref_times(num1, den2), _ref_times(num2, den1))
+    assert ((a + b).num, (a + b).den) == _ref_lowest(s, _ref_times(den1, den2))
+    assert ((a * b).num, (a * b).den) == _ref_lowest(
+        _ref_times(num1, num2), _ref_times(den1, den2))
+    if b:
+        assert ((a / b).num, (a / b).den) == _ref_lowest(
+            _ref_times(num1, den2), _ref_times(den1, num2))

@@ -238,6 +238,34 @@ def test_universal_check_detects_missing_cubic():
     assert witness["order_index"] == 0
 
 
+def _per_order_check(gens, orders):
+    for k, order in enumerate(orders):
+        ok, pair = is_groebner_basis(gens, order)
+        if not ok:
+            return False, {"order_index": k, "pair": pair}
+    return True, None
+
+
+def test_universal_check_matches_per_order_checks():
+    # one content normalization for all orders gives the flags and witnesses
+    # of checking the orders one at a time, as pinned from the per-order path
+    c = random_config(random.Random(8), 3)
+    ring = c.ring()
+    perms = permuted_block_lex_orders(ring)
+    w = random_weight_orders(ring, 2, seed=5)
+    orders = [perms[9], w[1], perms[100], perms[36], w[0], perms[215]]
+    gens = multiview_generators(c)
+    small = minimal_multiview_generators(c)
+    for gset, family, expected in (
+            (gens, orders, (True, None)),
+            (small, orders, (False, {"order_index": 0, "pair": (2, 1)})),
+            (small, orders[1:], (False, {"order_index": 0, "pair": (1, 2)})),
+            (_without_cubic_leader(gens, ring), orders,
+             (False, {"order_index": 3, "pair": (2, 1)}))):
+        got = universal_groebner_check(gset, family)
+        assert got == _per_order_check(gset, family) == expected
+
+
 def test_universal_check_runs_in_process_only():
     gens = multiview_generators(random_config(random.Random(8), 2))
     with pytest.raises(ValueError):
@@ -410,6 +438,17 @@ def test_normal_form_rescales_earlier_remainder_terms():
     order = block_order(R2)
     got = normal_form(P(R2, "x1 + x2"), [P(R2, "2*x2 + 1")], order)
     assert got == P(R2, "x1 - 1/2")
+
+
+def test_normal_form_against_negative_leading_coefficient():
+    # the basis element keeps its sign; reducing twice by -x2 must not undo
+    # the rescaling of x1*y1, which is set aside between the two steps
+    order = block_order(R2)
+    p = P(R2, "-3*x1*x2 - x1*y1 - 1/2*x2 + 1/2*y1^2")
+    basis = [P(R2, "-x2")]
+    got = normal_form(p, basis, order)
+    assert got == field_normal_form(p, basis, order)
+    assert got == P(R2, "-x1*y1 + 1/2*y1^2")
 
 
 def test_normal_form_of_eps_minors_against_mixed_basis():

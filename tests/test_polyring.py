@@ -248,3 +248,11 @@ def test_mixed_ring_rejected():
     r2 = Ring(2)
     with pytest.raises(ValueError):
         parse_polynomial(R3, "x1") * parse_polynomial(r2, "x1")
+
+
+def test_equal_polynomials_over_q_and_q_e_hash_alike():
+    m = mono(R3, "x1*y2")
+    over_qe = Polynomial(R3, {m: EpsRational(1, 2), m_one: EpsRational(-3)})
+    over_q = Polynomial(R3, {m: Fraction(1, 2), m_one: Fraction(-3)})
+    assert over_qe == over_q and hash(over_qe) == hash(over_q)
+    assert len({over_qe, over_q}) == 1
