@@ -19,7 +19,7 @@ __all__ = [
     "epipolar_form", "toric_cameras", "collinear_cameras",
     "extend_to_invertible", "diagonal_embedding_ideal",
     "multiview_ideal_via_elimination", "in_linearly_general_position",
-    "projectively_equal",
+    "projectively_equal", "proportional",
 ]
 
 
@@ -86,6 +86,13 @@ def projectively_equal(u, v):
         return False
     c = u[pivot] / v[pivot]
     return all(x == c * y for x, y in zip(u, v))
+
+
+def proportional(p, q):
+    """Is p a nonzero multiple of q (or are both zero)?"""
+    monos = list(p.terms.keys() | q.terms.keys())
+    return projectively_equal([p.coefficient(m) for m in monos],
+                              [q.coefficient(m) for m in monos])
 
 
 def focal_points(config):

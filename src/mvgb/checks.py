@@ -410,11 +410,7 @@ def criterion_11_fundamental_matrix(n_max=None):
     tor = cam.toric_cameras(4)
     form = cam.epipolar_form(tor, 1, 2)
     R4 = Ring(4)
-    target = parse_polynomial(R4, "z1*y2 - y1*z2")
-    m = next(iter(target.terms))
-    prop = (not form.is_zero and m in form.terms
-            and form == target * (form.terms[m] / target.terms[m]))
-    if not prop:
+    if not cam.proportional(form, parse_polynomial(R4, "z1*y2 - y1*z2")):
         ok = False
         details["toric_pair"] = str(form)
     return _entry("fundamental matrix", ok, t0, None, details)
@@ -441,6 +437,8 @@ def run_all(only=None, n_max=None):
     report = {"schema_version": 1, "criteria": [], "pass": True}
     if n_max is not None and n_max < 2:
         raise ValueError("n_max must be at least 2")
+    if only and not all(1 <= idx <= len(CRITERIA) for idx in only):
+        raise ValueError("criteria are numbered 1 to %d" % len(CRITERIA))
     for idx, fn in enumerate(CRITERIA, start=1):
         if only and idx not in only:
             continue

@@ -120,12 +120,11 @@ def parse_order(ring, spec):
     if spec.startswith("lex:"):
         names = [s.strip() for s in spec[4:].split(">")]
         try:
-            perm = tuple(ring.index(s) for s in names)
+            return LexOrder(ring, [ring.index(s) for s in names])
         except KeyError as exc:
             raise InputError("unknown variable %s" % exc) from None
-        if sorted(perm) != list(range(ring.nvars)):
-            raise InputError("lex order must list every variable once")
-        return LexOrder(ring, perm)
+        except ValueError as exc:
+            raise InputError("bad lex order: %s" % exc) from None
     if spec.startswith("weight:"):
         body = spec[len("weight:"):]
         tiebreak = None
@@ -137,11 +136,9 @@ def parse_order(ring, spec):
             raise InputError("weights must be a bracketed list")
         try:
             weights = [Fraction(w.strip()) for w in body[1:-1].split(",")]
+            return WeightOrder(ring, weights, tiebreak)
         except (ValueError, ZeroDivisionError) as exc:
-            raise InputError("bad weight: %s" % exc) from None
-        if len(weights) != ring.nvars:
-            raise InputError("need one weight per variable")
-        return WeightOrder(ring, weights, tiebreak)
+            raise InputError("bad weights: %s" % exc) from None
     raise InputError("unknown order spec %r" % spec)
 
 
@@ -259,16 +256,20 @@ def cmd_tangent(args):
 
 def cmd_degeneration(args):
     if args.action == "verify":
-        report = deg.verify_collinear_degeneration(args.n)
+        try:
+            report = deg.verify_collinear_degeneration(args.n)
+        except ValueError as exc:
+            raise InputError(str(exc)) from None
         report["schema_version"] = SCHEMA_VERSION
         _emit(report, args.out)
         return 0 if report["pass"] else 1
     # exploratory: the lex initial ideal of a specialization
-    if args.eps is None:
-        raise InputError("initial needs --eps")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        cfg = collinear_cameras(args.n, Fraction(args.eps))
+        try:
+            cfg = collinear_cameras(args.n, Fraction(args.eps))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InputError("bad --n or --eps: %s" % exc) from None
         init = gb.initial_ideal(multiview_ideal(cfg))
     _emit({"schema_version": SCHEMA_VERSION, "eps": args.eps,
            "initial_ideal": [format_monomial(init.ring, m)
@@ -331,9 +332,9 @@ def cmd_census(args):
 
 def cmd_check(args):
     only = None
-    if args.criteria:
-        only = [int(s) for s in args.criteria.split(",")]
     try:
+        if args.criteria:
+            only = [int(s) for s in args.criteria.split(",")]
         report = checks.run_all(only=only, n_max=args.n_max)
     except ValueError as exc:
         raise InputError(str(exc)) from None

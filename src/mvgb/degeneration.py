@@ -5,13 +5,13 @@ certificate checks tying the three together."""
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
-from .cameras import collinear_cameras, multiview_generators, sigma_minor
+from .cameras import (
+    collinear_cameras, multiview_generators, proportional, sigma_minor,
+)
 from .exactalg import EpsRational, eps
 from .groebner import (
-    ideal, ideal_equal, initial_ideal, intersect,
-    normal_form, reduced_groebner_basis,
+    ideal, ideal_equal, initial_ideal, normal_form, reduced_groebner_basis,
 )
 from .monomial import collinear_initial_ideal, multiview_hilbert_mismatch
 from .polyring import Polynomial, Ring, m_from_pairs, parse_polynomial
@@ -23,15 +23,20 @@ __all__ = [
 ]
 
 
+def _pair_minors(ring, a, b, cameras):
+    """The binomials a_i b_j - a_j b_i over pairs i < j of the cameras."""
+    return [parse_polynomial(ring, "%s%d*%s%d - %s%d*%s%d"
+                             % (a, i, b, j, a, j, b, i))
+            for i, j in itertools.combinations(cameras, 2)]
+
+
 def collinear_family_generators(n):
     """The binomial quadrics x_i y_j - x_j y_i together with the trinomial
     cubics whose coefficients are differences of powers of e."""
     if n < 2:
         raise ValueError("need n >= 2")
     ring = Ring(n)
-    out = []
-    for i, j in itertools.combinations(range(1, n + 1), 2):
-        out.append(parse_polynomial(ring, "x%d*y%d - x%d*y%d" % (i, j, j, i)))
+    out = _pair_minors(ring, "x", "y", range(1, n + 1))
 
     def c(a, b):
         return eps(n - a) - eps(n - b)
@@ -58,16 +63,11 @@ def collinear_fiber_ideal(n):
     if n < 2:
         raise ValueError("need n >= 2")
     ring = Ring(n)
-    gens = []
-    for i, j in itertools.combinations(range(1, n + 1), 2):
-        gens.append(parse_polynomial(ring, "x%d*y%d - x%d*y%d" % (i, j, j, i)))
+    gens = _pair_minors(ring, "x", "y", range(1, n + 1))
     for i, j, k in itertools.combinations(range(1, n + 1), 3):
-        gens.append(parse_polynomial(
-            ring, "x%d*z%d*x%d - z%d*x%d*x%d" % (i, j, k, i, j, k)))
-        gens.append(parse_polynomial(
-            ring, "y%d*z%d*y%d - z%d*y%d*y%d" % (i, j, k, i, j, k)))
-        gens.append(parse_polynomial(
-            ring, "y%d*z%d*x%d - z%d*y%d*x%d" % (i, j, k, i, j, k)))
+        for a, b in (("x", "x"), ("y", "y"), ("y", "x")):
+            gens.append(parse_polynomial(ring, "%s%d*z%d*%s%d - z%d*%s%d*%s%d"
+                                         % (a, i, j, b, k, i, a, j, b, k)))
     return ideal(ring, gens)
 
 
@@ -75,29 +75,18 @@ def minimal_valuation(p):
     """Smallest order of vanishing at e = 0 over the coefficients."""
     if not p.terms:
         raise ValueError("zero polynomial")
-    vals = []
-    for c in p.terms.values():
-        if isinstance(c, EpsRational):
-            vals.append(c.val())
-        else:
-            vals.append(0)
-    return min(vals)
+    return min(c.val() if isinstance(c, EpsRational) else 0
+               for c in p.terms.values())
 
 
 def _fiber_of(p):
     """Normalize by the minimal valuation and evaluate at e = 0."""
-    v = minimal_valuation(p)
-    scale = eps(-v)
-    terms = {}
-    for m, c in p.terms.items():
-        c = (c * scale) if isinstance(c, EpsRational) else (scale * c)
-        c0 = c.evaluate(0)
-        if c0:
-            terms[m] = c0
-    return Polynomial(Ring(p.ring.n, p.ring.extended, p.ring.aux), terms)
+    scale = eps(-minimal_valuation(p))
+    return Polynomial(p.ring, {m: (scale * c).evaluate(0)
+                               for m, c in p.terms.items()})
 
 
-def special_fiber(gens, check_box=3):
+def special_fiber(gens):
     """Generator-wise fiber at e = 0 of a family of polynomials.
 
     Each generator is scaled by the inverse of its minimal e-power and then
@@ -114,7 +103,7 @@ def special_fiber(gens, check_box=3):
     candidate = ideal(ring, fibers)
     init = initial_ideal(candidate)
     certified = (init.is_squarefree()
-                 and multiview_hilbert_mismatch(init, check_box) is None)
+                 and multiview_hilbert_mismatch(init) is None)
     return candidate, certified
 
 
@@ -128,11 +117,9 @@ def decomposition_factor_ideal(n, t):
     for i in range(t, n + 1):
         gens.append(parse_polynomial(ring, "x%d" % i))
         gens.append(parse_polynomial(ring, "y%d" % i))
-    for i, j in itertools.combinations(range(1, t), 2):
-        gens.append(parse_polynomial(ring, "x%d*y%d - x%d*y%d" % (i, j, j, i)))
-    for i, j in itertools.combinations(range(1, t - 1), 2):
-        gens.append(parse_polynomial(ring, "x%d*z%d - x%d*z%d" % (i, j, j, i)))
-        gens.append(parse_polynomial(ring, "y%d*z%d - y%d*z%d" % (i, j, j, i)))
+    gens += _pair_minors(ring, "x", "y", range(1, t))
+    gens += _pair_minors(ring, "x", "z", range(1, t - 1))
+    gens += _pair_minors(ring, "y", "z", range(1, t - 1))
     return ideal(ring, gens)
 
 
@@ -155,7 +142,7 @@ def _family_matches_minors(n):
     pos = 0
     for i, j in itertools.combinations(range(1, n + 1), 2):
         minor = sigma_minor(config, (i, j), tuple(range(6)), ring)
-        if not _proportional(minor, gens[pos]):
+        if not proportional(minor, gens[pos]):
             return False, {"direction": "pair minor mismatch", "pair": (i, j)}
         pos += 1
     drops = ((4, 7), (3, 6), (0, 7))  # rows y_j,y_k; x_j,x_k; x_i,y_k
@@ -163,36 +150,26 @@ def _family_matches_minors(n):
         for d in drops:
             rows = [r for r in range(9) if r not in d]
             minor = sigma_minor(config, (i, j, k), rows, ring)
-            if not _proportional(minor, gens[pos]):
+            if not proportional(minor, gens[pos]):
                 return False, {"direction": "triple minor mismatch",
                                "triple": (i, j, k)}
             pos += 1
     return True, None
 
 
-def _proportional(p, q):
-    if p.is_zero or q.is_zero:
-        return p.is_zero and q.is_zero
-    m = next(iter(q.terms))
-    if m not in p.terms:
-        return False
-    c = p.terms[m] / q.terms[m]
-    return p == q * c
-
-
-def verify_collinear_degeneration(n, check_box=3, cap=5):
+def verify_collinear_degeneration(n):
     """Certificates for the two-step degeneration at n collinear cameras.
 
     Checks: (a) the family generators span the ideal of maximal minors;
     (b) the generator-wise special fiber equals the binomial fiber ideal;
     (c) its lex initial ideal is the expected monomial ideal; (d) that ideal
-    counts standard monomials by the closed form on the box; (e) the fiber
-    ideal and its initial ideal decompose as the stated intersections.
-
-    The cap bounds the runtime (raise it explicitly for larger n).
+    counts standard monomials by the closed form on the box u <= 3, which
+    decides for squarefree ideals; (e) the fiber ideal and its initial ideal
+    decompose as the stated intersections.  n is capped at 5 to bound the
+    runtime.
     """
-    if not 2 <= n <= cap:
-        raise ValueError("n must be between 2 and the cap %d" % cap)
+    if not 2 <= n <= 5:
+        raise ValueError("n must be between 2 and 5")
     ring = Ring(n)
     report = {"n": n, "checks": {}, "pass": True}
 
@@ -208,15 +185,16 @@ def verify_collinear_degeneration(n, check_box=3, cap=5):
     record("family_generates_minor_ideal", ok, witness)
 
     gens = collinear_family_generators(n)
-    fiber, certified = special_fiber(gens, check_box)
+    fiber, certified = special_fiber(gens)
     L = collinear_fiber_ideal(n)
     record("special_fiber_certified", certified)
     record("special_fiber_is_binomial_ideal", ideal_equal(fiber, L))
 
     N = collinear_initial_ideal(n)
-    record("initial_ideal_of_fiber", initial_ideal(L) == N)
+    in_L_is_N = initial_ideal(L) == N
+    record("initial_ideal_of_fiber", in_L_is_N)
 
-    bad = multiview_hilbert_mismatch(N, check_box)
+    bad = multiview_hilbert_mismatch(N)
     record("hilbert_box", bad is None, {"multidegree": bad} if bad else None)
 
     factors = [decomposition_factor_ideal(n, t) for t in range(3, n + 2)]
@@ -225,8 +203,10 @@ def verify_collinear_degeneration(n, check_box=3, cap=5):
     for other in inits[1:]:
         meet = meet.intersection(other)
     record("initial_ideals_intersect_to_N", meet == N)
-    current = factors[0]
-    for other in factors[1:]:
-        current = intersect(current, other)
-    record("factors_intersect_to_fiber", ideal_equal(current, L))
+    # L lies in every factor F_t, so in(L) <= in(meet of F_t) <= meet of
+    # in(F_t) = N = in(L).  An ideal inside another with the same initial
+    # ideal equals it: L is the intersection of the factors.
+    inside = all(not normal_form(g, reduced_groebner_basis(f))
+                 for f in factors for g in L.generators)
+    record("factors_intersect_to_fiber", inside and meet == N and in_L_is_N)
     return report

@@ -377,9 +377,6 @@ class Matrix:
     def identity(cls, n):
         return cls([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
 
-    def entry(self, i, j):
-        return self.rows[i][j]
-
     def transpose(self):
         return Matrix([[self.rows[i][j] for i in range(self.nrows)]
                        for j in range(self.ncols)])

@@ -306,23 +306,17 @@ def eliminate(I, keep):
 
 
 def intersect(I, J):
-    """Intersection via the auxiliary-variable elimination t*I + (1-t)*J."""
+    """I intersected with J: the ideal t*I + (1-t)*J with t eliminated."""
     I, J = _as_ideal(I), _as_ideal(J)
     if I.ring != J.ring:
         raise ValueError("ideals from different rings")
     ring = I.ring
     ring2 = ring.with_aux(1)
-    tvar = ring2.nvars - 1
-    t = Polynomial.monomial(ring2, m_var(tvar))
+    t = Polynomial.monomial(ring2, m_var(ring2.nvars - 1))
     gens = [t * p.in_ring(ring2) for p in I.generators]
     gens += [(1 - t) * p.in_ring(ring2) for p in J.generators]
-    order = LexOrder(ring2, (tvar,) + tuple(range(ring2.nvars - 1)))
-    gb = _buchberger([p.terms for p in gens], order)
-    out = []
-    for terms in gb:
-        if all(v != tvar for m in terms for v, _ in m):
-            out.append(Polynomial(ring, dict(terms)))
-    return IdealPresentation(ring, out)
+    kept = eliminate(IdealPresentation(ring2, gens), range(ring.nvars))
+    return IdealPresentation(ring, [p.in_ring(ring) for p in kept.generators])
 
 
 def hilbert_value(I, u):

@@ -11,11 +11,12 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-__all__ = ["feasible_point"]
+__all__ = ["feasible_point", "primitive_row"]
 
 
-def _primitive_row(row):
-    """The row divided by the gcd of its entries (a positive number)."""
+def primitive_row(row):
+    """The int row divided by the gcd of its entries; a zero row, whose gcd
+    is 0, comes back as it is."""
     g = gcd(*row)
     if g > 1:
         return [v // g for v in row]
@@ -55,7 +56,7 @@ def _phase_one(A, b, ncols):
         for j in range(ncols):
             cost[j] -= f * r[j]
         cost[total] -= f * r[total]
-    cost = _primitive_row(cost)
+    cost = primitive_row(cost)
     while True:
         enter = next((j for j in range(total) if cost[j] < 0), None)
         if enter is None:
@@ -79,10 +80,10 @@ def _phase_one(A, b, ncols):
         for i, r in enumerate(rows):
             f = r[enter]
             if i != leave and f:
-                rows[i] = _primitive_row([piv * v - f * w
-                                          for v, w in zip(r, prow)])
+                rows[i] = primitive_row([piv * v - f * w
+                                         for v, w in zip(r, prow)])
         f = cost[enter]
-        cost = _primitive_row([piv * v - f * w for v, w in zip(cost, prow)])
+        cost = primitive_row([piv * v - f * w for v, w in zip(cost, prow)])
         basis[leave] = enter
     # the cost row's right-hand side is minus the artificial sum
     if cost[total]:

@@ -16,10 +16,10 @@ from math import lcm
 from .exactalg import EpsRational, content_scale, eps
 
 __all__ = [
-    "Ring", "Polynomial", "LexOrder", "WeightOrder", "GrevlexOrder",
-    "MatrixOrder", "block_order", "elimination_order", "parse_polynomial",
-    "format_polynomial", "parse_monomial", "format_monomial",
-    "canonical_string",
+    "Ring", "Polynomial", "WeightLexOrder", "LexOrder", "WeightOrder",
+    "GrevlexOrder", "MatrixOrder", "block_order", "elimination_order",
+    "parse_polynomial", "format_polynomial", "parse_monomial",
+    "format_monomial", "canonical_string",
 ]
 
 _BASE_LETTERS = ("x", "y", "z")
@@ -208,61 +208,75 @@ class TermOrder:
         return (ka > kb) - (ka < kb)
 
 
-class LexOrder(TermOrder):
-    """Lexicographic order on a permutation of the variables (largest first)."""
+class WeightLexOrder(TermOrder):
+    """Integer weight rows compared in turn, ties broken lexicographically
+    along perm (largest variable first).  Every term order has this form
+    (Robbiano 1985); lex has no rows.  The key is the tuple of row sums
+    followed by the dense exponent vector along perm."""
 
-    __slots__ = ("perm", "_pos")
+    __slots__ = ("rows", "perm", "_pos")
 
-    def __init__(self, ring, perm=None):
+    def __init__(self, ring, rows=(), perm=None):
         self.ring = ring
         self._cache = {}
+        nvars = ring.nvars
+        if rows:
+            rows = tuple(_integer_weights(row) for row in rows)
+            if any(len(row) != nvars for row in rows):
+                raise ValueError("every weight row needs one entry per "
+                                 "variable")
+        self.rows = tuple(rows)
         if perm is None:
-            perm = tuple(range(ring.nvars))
-        else:
-            perm = tuple(perm)
-            if sorted(perm) != list(range(ring.nvars)):
-                raise ValueError("perm must list every variable exactly once")
-        self.perm = perm
+            self.perm = self._pos = tuple(range(nvars))
+            return
+        self.perm = perm = tuple(perm)
+        if sorted(perm) != list(range(nvars)):
+            raise ValueError("perm must list every variable exactly once")
         self._pos = {v: i for i, v in enumerate(perm)}
 
     def _key(self, m):
-        out = [0] * self.ring.nvars
         pos = self._pos
+        out = [0] * len(pos)
         for v, e in m:
             out[pos[v]] = e
-        return tuple(out)
+        if not self.rows:
+            return tuple(out)
+        return tuple(sum(row[v] * e for v, e in m)
+                     for row in self.rows) + tuple(out)
 
     @property
     def signature(self):
-        return ("lex", self.perm)
+        return (self.rows, self.perm)
 
 
-class WeightOrder(TermOrder):
-    """Weight vector order refined by a lexicographic tiebreak.  The weights
-    are held as integers, scaled by the lcm of their denominators."""
+def LexOrder(ring, perm=None):
+    """Lexicographic order on a permutation of the variables (largest
+    first)."""
+    return WeightLexOrder(ring, (), perm)
 
-    __slots__ = ("weights", "tiebreak")
 
-    def __init__(self, ring, weights, tiebreak=None):
-        self.ring = ring
-        self._cache = {}
-        weights = _integer_weights(weights)
-        if len(weights) != ring.nvars:
-            raise ValueError("one weight per variable required")
-        self.weights = weights
-        self.tiebreak = tiebreak if tiebreak is not None else LexOrder(ring)
+def MatrixOrder(ring, rows, tiebreak=None):
+    """Order by successive weight rows, then by the tiebreak's rows and its
+    lexicographic permutation (the block order when none is given)."""
+    if tiebreak is None:
+        return WeightLexOrder(ring, rows)
+    if not isinstance(tiebreak, WeightLexOrder):
+        raise TypeError("a tiebreak must be a weight or lex order")
+    return WeightLexOrder(ring, tuple(rows) + tiebreak.rows, tiebreak.perm)
 
-    def _key(self, m):
-        w = sum(self.weights[v] * e for v, e in m)
-        return (w,) + self.tiebreak.key(m)
 
-    @property
-    def signature(self):
-        return ("weight", self.weights, self.tiebreak.signature)
+def WeightOrder(ring, weights, tiebreak=None):
+    """Weight vector order refined by a tiebreak (the block order when none
+    is given)."""
+    return MatrixOrder(ring, [weights], tiebreak)
 
 
 class GrevlexOrder(TermOrder):
-    """Graded reverse lexicographic order on a permutation of the variables."""
+    """Graded reverse lexicographic order on a permutation of the variables.
+
+    Kept apart from WeightLexOrder: as weight rows it needs the all-ones
+    row and one row -e_v per variable, and that key is slower to build in
+    the saturation loop of toric_ideal."""
 
     __slots__ = ("perm",)
 
@@ -279,27 +293,6 @@ class GrevlexOrder(TermOrder):
     @property
     def signature(self):
         return ("grevlex", self.perm)
-
-
-class MatrixOrder(TermOrder):
-    """Order by successive weight rows, with a final lexicographic tiebreak.
-    Each row is held as integers, scaled by the lcm of its denominators."""
-
-    __slots__ = ("rows", "tiebreak")
-
-    def __init__(self, ring, rows, tiebreak=None):
-        self.ring = ring
-        self._cache = {}
-        self.rows = tuple(_integer_weights(row) for row in rows)
-        self.tiebreak = tiebreak if tiebreak is not None else LexOrder(ring)
-
-    def _key(self, m):
-        head = tuple(sum(row[v] * e for v, e in m) for row in self.rows)
-        return head + self.tiebreak.key(m)
-
-    @property
-    def signature(self):
-        return ("matrix", self.rows, self.tiebreak.signature)
 
 
 def block_order(ring):
@@ -439,9 +432,6 @@ class Polynomial:
             self._hash = hash((self.ring, items))
         return self._hash
 
-    def monomials(self):
-        return list(self.terms)
-
     def coefficient(self, mono):
         return self.terms.get(mono, Fraction(0))
 
@@ -545,20 +535,6 @@ def canonical_string(p):
     return format_polynomial(p * content_scale(p.terms.values(), lc))
 
 
-def parse_monomial(ring, text):
-    text = text.strip()
-    if text in ("1", ""):
-        return m_one
-    pairs = []
-    for tok in text.split("*"):
-        m = _VAR_RE.match(tok.strip())
-        if not m:
-            raise ValueError("bad monomial factor %r" % tok)
-        letter, cam, e = m.group(1), int(m.group(2)), m.group(3)
-        pairs.append((ring.var(letter, cam), int(e) if e else 1))
-    return m_from_pairs(pairs)
-
-
 _EPS_TOKEN_RE = re.compile(r"\d+|[-+*/^()e]")
 _MAX_EPS_POWER = 1000   # e^k is held as k + 1 integers
 _MAX_EPS_NESTING = 50   # parentheses, each a few frames of the reader
@@ -645,6 +621,24 @@ def _eps_coefficient(text):
     return v
 
 
+def _read_term(ring, body, text):
+    """The coefficient and monomial of one unsigned term: '*'-separated
+    rational numbers, Q(e) coefficients and variable powers."""
+    coeff = Fraction(1)
+    monos = []
+    for tok in _split_top(body, "*"):
+        if _NUM_RE.match(tok):
+            coeff *= Fraction(tok)
+        elif m := _VAR_RE.match(tok):
+            monos.append((ring.var(m.group(1), int(m.group(2))),
+                          int(m.group(3)) if m.group(3) else 1))
+        elif "(" in tok or "e" in tok:
+            coeff = coeff * _eps_coefficient(tok)
+        else:
+            raise ValueError("bad factor %r in %r" % (tok, text))
+    return coeff, m_from_pairs(monos)
+
+
 def parse_polynomial(ring, text):
     """Parse the text format, e.g. 'x1*y2 - x2*y1' or '2/3*x1^2', and over
     Q(e) coefficients such as '(e^2 - e)*x1' or '((-e - 1)/(e))*y2'."""
@@ -653,22 +647,12 @@ def parse_polynomial(ring, text):
         raise ValueError("empty polynomial")
     acc = {}
     for chunk in _split_top(s, "+-"):
-        coeff = Fraction(-1 if chunk[0] == "-" else 1)
         body = chunk[1:] if chunk[0] in "+-" else chunk
         if not body:
             raise ValueError("dangling sign in %r" % text)
-        monos = []
-        for tok in _split_top(body, "*"):
-            if _NUM_RE.match(tok):
-                coeff *= Fraction(tok)
-            elif m := _VAR_RE.match(tok):
-                monos.append((ring.var(m.group(1), int(m.group(2))),
-                              int(m.group(3)) if m.group(3) else 1))
-            elif "(" in tok or "e" in tok:
-                coeff = coeff * _eps_coefficient(tok)
-            else:
-                raise ValueError("bad factor %r in %r" % (tok, text))
-        mono = m_from_pairs(monos)
+        coeff, mono = _read_term(ring, body, text)
+        if chunk[0] == "-":
+            coeff = -coeff
         v = acc.get(mono)
         v = coeff if v is None else v + coeff
         if v:
@@ -676,3 +660,15 @@ def parse_polynomial(ring, text):
         else:
             acc.pop(mono, None)
     return Polynomial(ring, acc)
+
+
+def parse_monomial(ring, text):
+    """A monomial such as 'x1*y2^2': one term with coefficient 1, read as
+    parse_polynomial reads a term.  '1' and '' are the monomial 1."""
+    s = text.replace(" ", "")
+    if not s:
+        return m_one
+    coeff, mono = _read_term(ring, s, text)
+    if coeff != 1:
+        raise ValueError("not a monomial: %r" % text)
+    return mono

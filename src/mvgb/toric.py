@@ -8,14 +8,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .cameras import toric_cameras
 from .exactalg import Matrix, content_scale, kernel
 from .groebner import (
     IdealPresentation, ideal, minimal_generators, reduced_groebner_basis,
 )
-from .lp import feasible_point
+from .lp import feasible_point, primitive_row
 from .monomial import (
     MonomialIdeal, stanley_reisner_complex, symmetry_orbits,
 )
@@ -126,23 +125,16 @@ class GFanNode:
     initial: MonomialIdeal
 
 
-def _primitive(vec):
-    g = gcd(*vec)
-    if g == 0:
-        return None
-    return tuple(x // g for x in vec)
-
-
 def _pair_coords(kernel_rows, mono_hi, mono_lo, nvars):
     dense = [0] * nvars
     for v, e in mono_hi:
         dense[v] += e
     for v, e in mono_lo:
         dense[v] -= e
-    if kernel_rows is None:
-        return _primitive(dense)
-    return _primitive([sum(row[k] * dense[k] for k in range(nvars))
-                       for row in kernel_rows])
+    if kernel_rows is not None:
+        dense = [sum(row[k] * dense[k] for k in range(nvars))
+                 for row in kernel_rows]
+    return tuple(primitive_row(dense))
 
 
 def _node_from_basis(ring, gb, order):
@@ -180,7 +172,7 @@ def enumerate_initial_ideals(I, kernel_rows=None, node_cap=None):
                 if m == lm:
                     continue
                 c = _pair_coords(kernel_rows, lm, m, ring.nvars)
-                if c is None:
+                if not any(c):
                     raise ValueError(
                         "kernel rows do not span the exponent differences")
                 vecs[c] = True

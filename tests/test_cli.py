@@ -147,6 +147,25 @@ def test_malformed_options_exit_2(tmp_path, capsys, argv):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["degeneration", "verify", "--n", "1"],
+    ["degeneration", "verify", "--n", "6"],
+    ["degeneration", "initial", "--n", "3", "--eps", "0"],
+    ["degeneration", "initial", "--n", "3", "--eps", "abc"],
+    ["degeneration", "initial", "--n", "3", "--eps", "1/0"],
+    ["degeneration", "initial", "--n", "1", "--eps", "2"],
+    ["check", "all", "--criteria", "x"],
+    ["check", "all", "--criteria", "1,,2"],
+    ["check", "all", "--criteria", "0"],
+    ["check", "all", "--criteria", "12"],
+])
+def test_bad_arguments_without_a_file_exit_2(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err and not captured.out
+
+
 def test_determinism(tmp_path, capsys):
     path = tmp_path / "i.txt"
     path.write_text("x1*y2 - x2*y1\nx1*z2 - 2*x2*z1\n")

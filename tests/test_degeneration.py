@@ -3,6 +3,7 @@ from math import comb
 
 import pytest
 
+from mvgb import degeneration
 from mvgb.degeneration import (
     collinear_family_generators, collinear_fiber_ideal,
     decomposition_factor_ideal, minimal_valuation, special_fiber,
@@ -123,3 +124,24 @@ def test_collinear_family_basis_text_is_pinned():
     assert "/(e^2 + e))" in text
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "64faad3e38194fb4a036d741fbd49549bfb62978f6e9040139511a4636631164")
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda gens, ring: gens + [parse_polynomial(ring, "z1")],   # larger
+    lambda gens, ring: gens[1:],                                # smaller
+    # the same initial ideal, but no longer containing the fiber ideal
+    lambda gens, ring: gens[:2] + [parse_polynomial(ring, "x1*y2 - 2*x2*y1")],
+])
+def test_mutated_factor_fails_the_intersection_certificate(monkeypatch,
+                                                           mutate):
+    factor = degeneration.decomposition_factor_ideal
+
+    def mutated(n, t):
+        I = factor(n, t)
+        return ideal(I.ring, mutate(list(I.generators), I.ring)) \
+            if t == 3 else I
+
+    monkeypatch.setattr(degeneration, "decomposition_factor_ideal", mutated)
+    report = verify_collinear_degeneration(3)
+    assert report["checks"]["factors_intersect_to_fiber"] == {"pass": False}
+    assert not report["pass"]

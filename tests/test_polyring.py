@@ -8,9 +8,9 @@ from mvgb.degeneration import collinear_family_generators
 from mvgb.exactalg import EpsRational, eps
 from mvgb.groebner import ideal, reduced_groebner_basis
 from mvgb.polyring import (
-    MatrixOrder, Polynomial, Ring, WeightOrder, canonical_string,
-    format_polynomial, m_from_pairs, m_mul, m_one, block_order,
-    parse_monomial, parse_polynomial,
+    GrevlexOrder, LexOrder, MatrixOrder, Polynomial, Ring, WeightLexOrder,
+    WeightOrder, canonical_string, format_polynomial, m_from_pairs, m_mul,
+    m_one, block_order, parse_monomial, parse_polynomial,
 )
 
 R3 = Ring(3)
@@ -55,16 +55,43 @@ def test_weight_then_lex_tiebreak():
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 weight_rows = st.lists(rationals, min_size=R3.nvars, max_size=R3.nvars)
+BLOCK = tuple(range(R3.nvars))
 
 
-def rational_compare(rows, a, b):
-    """The order of rational weight rows then block lex, summed in Fraction."""
+def sign(x):
+    return (x > 0) - (x < 0)
+
+
+def exponents(m):
+    e = dict(m)
+    return [e.get(v, 0) for v in range(R3.nvars)]
+
+
+def lex_compare(perm, a, b):
+    """The first differing exponent along perm decides; larger wins."""
+    ea, eb = exponents(a), exponents(b)
+    return next((sign(ea[v] - eb[v]) for v in perm if ea[v] != eb[v]), 0)
+
+
+def grevlex_compare(perm, a, b):
+    """Degree first, then the last differing exponent along perm decides;
+    smaller wins."""
+    ea, eb = exponents(a), exponents(b)
+    if sum(ea) != sum(eb):
+        return sign(sum(ea) - sum(eb))
+    return next((sign(eb[v] - ea[v]) for v in reversed(perm)
+                 if ea[v] != eb[v]), 0)
+
+
+def rational_compare(rows, a, b, perm=BLOCK):
+    """The order of rational weight rows then lex along perm, summed in
+    Fraction."""
     for row in rows:
         wa = sum(row[v] * e for v, e in a)
         wb = sum(row[v] * e for v, e in b)
         if wa != wb:
             return 1 if wa > wb else -1
-    return block_order(R3).compare(a, b)
+    return lex_compare(perm, a, b)
 
 
 @settings(max_examples=60)
@@ -84,6 +111,64 @@ def test_integer_weight_keys_keep_rational_order(rows, scale, monos):
                 == rational_compare(rows[:1], a, b)
             assert orders[2].compare(a, b) == orders[3].compare(a, b) \
                 == rational_compare(rows, a, b)
+
+
+@settings(max_examples=80)
+@given(st.permutations(BLOCK), st.lists(weight_rows, min_size=1, max_size=3),
+       st.lists(st.integers(0, 1), min_size=R3.nvars, max_size=R3.nvars),
+       st.lists(monomials(max_exp=2), min_size=2, max_size=6))
+def test_orders_compare_by_their_definitions(perm, rows, coarse, monos):
+    # a 0/1 row ties often, so the rows and the lex after it get their say
+    w, v = coarse, rows[0]
+    rows = [coarse] + rows[1:]
+    cases = [
+        (LexOrder(R3, perm), lambda a, b: lex_compare(perm, a, b)),
+        (WeightOrder(R3, w), lambda a, b: rational_compare([w], a, b)),
+        (WeightOrder(R3, w, LexOrder(R3, perm)),
+         lambda a, b: rational_compare([w], a, b, perm)),
+        (WeightOrder(R3, w, WeightOrder(R3, v, LexOrder(R3, perm))),
+         lambda a, b: rational_compare([w, v], a, b, perm)),
+        (MatrixOrder(R3, rows), lambda a, b: rational_compare(rows, a, b)),
+        (MatrixOrder(R3, rows, LexOrder(R3, perm)),
+         lambda a, b: rational_compare(rows, a, b, perm)),
+        (GrevlexOrder(R3, perm), lambda a, b: grevlex_compare(perm, a, b)),
+    ]
+    # products of the drawn monomials tie under the weights more often
+    monos += [m_mul(a, b) for a, b in zip(monos, monos[1:])]
+    for order, expected in cases:
+        for a in monos:
+            for b in monos:
+                assert order.compare(a, b) == expected(a, b)
+
+
+def test_weight_and_matrix_orders_are_one_class():
+    w = [3, 1, 4, 1, 5, 9, 2, 6, 5]
+    orders = [LexOrder(R3), WeightOrder(R3, w), MatrixOrder(R3, [w]),
+              WeightOrder(R3, w, WeightOrder(R3, [1] * 9))]
+    assert all(type(o) is WeightLexOrder for o in orders)
+    assert WeightOrder(R3, w).signature == MatrixOrder(R3, [w]).signature
+    assert orders[3].signature == MatrixOrder(R3, [w, [1] * 9]).signature
+    assert LexOrder(R3).signature == block_order(R3).signature == ((), BLOCK)
+    assert WeightOrder(R3, w).signature != LexOrder(R3).signature
+
+
+@pytest.mark.parametrize("build", [
+    lambda: WeightOrder(R3, [1] * 8),
+    lambda: MatrixOrder(R3, [[1] * 9, [1] * 10]),
+    lambda: MatrixOrder(R3, [[]]),
+    lambda: LexOrder(R3, range(8)),
+    lambda: LexOrder(R3, [0] * 9),
+    lambda: LexOrder(R3, range(1, 10)),
+    lambda: WeightOrder(R3, [1] * 9, LexOrder(R3, [1, 0])),
+])
+def test_malformed_orders_raise(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_grevlex_tiebreak_raises():
+    with pytest.raises(TypeError):
+        WeightOrder(R3, [1] * 9, GrevlexOrder(R3))
 
 
 @settings(max_examples=200)
@@ -208,6 +293,19 @@ def test_parse_eps_zero_divisor_raises_as_over_q():
     for text in ("1/(e - e)*x1", "1/0*x1"):
         with pytest.raises(ZeroDivisionError):
             parse_polynomial(R3, text)
+
+
+@pytest.mark.parametrize("text", ["2*x1", "-x1", "x1 + y1", "(e)*x1", "q3",
+                                  "x1*q3", "1/2", "0"])
+def test_parse_monomial_rejects_non_monomials(text):
+    with pytest.raises(ValueError):
+        parse_monomial(R3, text)
+
+
+def test_parse_monomial_examples():
+    assert parse_monomial(R3, "1") == parse_monomial(R3, "") == m_one
+    assert parse_monomial(R3, " x1 * y2^2 ") == ((0, 1), (4, 2))
+    assert parse_monomial(R3, "x1*x1^2*z3^0") == ((0, 3),)
 
 
 def test_parse_specific():
