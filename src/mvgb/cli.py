@@ -42,7 +42,11 @@ def _emit(payload, out=None):
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
-    print(text)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader left; devnull takes the flush at exit (Python docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 # ---------------------------------------------------------------------------
@@ -92,10 +96,10 @@ def load_ideal(path, n=None):
             for letter, cam in re.findall(r"([wxyz])(\d+)", ln):
                 n = max(n, int(cam))
                 extended = extended or letter == "w"
-        if n < 1:
-            raise InputError("cannot infer the ring from %s" % path)
     else:
         extended = any("w" in ln for ln in lines)
+    if n < 1:
+        raise InputError("no camera in --n or in %s" % path)
     ring = Ring(max(n, 2), extended=extended)
     try:
         polys = [parse_polynomial(ring, ln) for ln in lines]

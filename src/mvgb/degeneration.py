@@ -11,7 +11,7 @@ from .cameras import (
 )
 from .exactalg import EpsRational, eps
 from .groebner import (
-    ideal, ideal_equal, initial_ideal, normal_form, reduced_groebner_basis,
+    ideal, ideal_equal, initial_ideal, normal_forms, reduced_groebner_basis,
 )
 from .monomial import collinear_initial_ideal, multiview_hilbert_mismatch
 from .polyring import Polynomial, Ring, m_from_pairs, parse_polynomial
@@ -134,8 +134,8 @@ def _family_matches_minors(n):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         minors = multiview_generators(config, ring)
-    for k, m in enumerate(minors):
-        if normal_form(m, gb):
+    for k, r in enumerate(normal_forms(minors, gb)):
+        if r:
             return False, {"direction": "minor outside family span",
                            "minor_index": k}
     # each family generator is proportional to one specific minor
@@ -206,7 +206,7 @@ def verify_collinear_degeneration(n):
     # L lies in every factor F_t, so in(L) <= in(meet of F_t) <= meet of
     # in(F_t) = N = in(L).  An ideal inside another with the same initial
     # ideal equals it: L is the intersection of the factors.
-    inside = all(not normal_form(g, reduced_groebner_basis(f))
-                 for f in factors for g in L.generators)
+    inside = not any(r for f in factors for r in normal_forms(
+        L.generators, reduced_groebner_basis(f)))
     record("factors_intersect_to_fiber", inside and meet == N and in_L_is_N)
     return report

@@ -16,48 +16,141 @@ from .monomial import (
     MonomialIdeal, multiview_hilbert_mismatch, standard_monomial_count,
 )
 from .polyring import (
-    LexOrder, Polynomial, WeightOrder, elimination_order, m_coprime,
-    m_deg, m_div, m_divides, m_lcm, m_mul, m_var, block_order,
+    LexOrder, Polynomial, WeightOrder, block_order, elimination_order, m_var,
 )
 
 __all__ = [
     "IdealPresentation", "ideal", "reduced_groebner_basis", "normal_form",
-    "initial_ideal", "ideal_equal", "eliminate", "intersect", "hilbert_value",
-    "minimal_generators", "is_groebner_basis", "universal_groebner_check",
-    "letter_rankings", "permuted_block_lex_orders", "random_weight_orders",
-    "cone_certificates", "universal_basis_certificate",
+    "normal_forms", "initial_ideal", "ideal_equal", "eliminate", "intersect",
+    "hilbert_value", "minimal_generators", "is_groebner_basis",
+    "universal_groebner_check", "letter_rankings", "permuted_block_lex_orders",
+    "random_weight_orders", "cone_certificates", "universal_basis_certificate",
 ]
 
 
 # ---------------------------------------------------------------------------
-# raw polynomial dictionaries
+# packed monomials
 #
-# Over Q the engine reduces in Python ints: every basis triple holds a
+# Inside the engine a monomial is one int per term order (Monagan-Pearce,
+# JSC 2011).  Its fields, from the top: the weight-row sums, each raised by a
+# constant offset so that it is never negative; the exponents along perm;
+# the degree, which never decides a comparison.  Int comparison is the
+# order's, and a product is a + b - off.  A guard bit tops each exponent
+# field and the degree field: b divides a exactly when a - b + off sets none.
+# The fields hold the monomials of degree at most D = 2^bits - 1.  A product
+# or lcm of higher degree sets the degree guard, and the run starts again
+# with wider fields.  A basis element is the tuple (lm - off, lc, tail, lim,
+# lm) that _Packer.element builds; _LM names the place of its leading monomial.
+_LM = 4
+
+
+class _Overflow(Exception):
+    pass
+
+
+class _Packer:
+    """The packed form of one term order, for monomials of degree <= D."""
+
+    def __init__(self, order, bits):
+        n, w, D = len(order.perm), bits + 1, (1 << bits) - 1
+        self.bits, self.width, self.D = bits, w, D
+        self.shifts = [(n - order.perm.index(v)) * w for v in range(n)]
+        self.eguard = sum(1 << s + bits for s in self.shifts)
+        self.emask = sum(D << s for s in self.shifts)
+        self.guard, self.off = self.eguard | 1 << bits, 0
+        self.deltas = [1 + (1 << s) for s in self.shifts]
+        top = (n + 1) * w
+        for row in reversed(order.rows):
+            neg = max(0, -min(row))
+            b = ((max(0, *row) + neg) * D).bit_length()
+            self.off += neg * D << top
+            self.deltas = [d + (r << top) for d, r in zip(self.deltas, row)]
+            top += b
+        self.field_deltas = [0] + [self.deltas[v] for v in order.perm[::-1]]
+
+    def encode(self, mono):
+        return self.off + sum(e * self.deltas[v] for v, e in mono)
+
+    def element(self, terms):
+        """The basis element (lm - off, lc, tail, lim, lm) of packed terms.
+        The tail pairs m - off with c, so that q*m is m + q; a quotient q of
+        degree above lim takes a tail term past D."""
+        lm = max(terms)
+        tail = tuple((m - self.off, c) for m, c in terms.items() if m != lm)
+        lim = self.D - max((m & self.D for m in terms if m != lm), default=0)
+        return (lm - self.off, terms[lm], tail, lim, lm)
+
+    def elements(self, polys):
+        return [self.element({self.encode(m): c for m, c in t.items()})
+                for t in polys]
+
+    def decode(self, m):
+        return tuple((v, e) for v, s in enumerate(self.shifts)
+                     if (e := m >> s & self.D))
+
+    def emax(self, a, b):
+        """Field-wise max of two exponent parts (m & emask)."""
+        sel = ((a | self.eguard) - b) & self.eguard
+        sel -= sel >> self.bits
+        return (a & sel) | (b & ~sel)
+
+    def lcm(self, g, lme, Le):
+        """Le, as a multiple of g's leading monomial (exponent part lme)."""
+        return self.times(g[_LM], Le - lme)
+
+    def by_degree(self, g):
+        """Sort key: divisors first, also under negative weight rows."""
+        return g[_LM] & self.D, g[_LM]
+
+    def times(self, a, c):
+        """a times the monomial with the exponent part c."""
+        w = self.width
+        while c:
+            s = (c.bit_length() - 1) // w * w
+            e = c >> s
+            c -= e << s
+            a += e * self.field_deltas[s // w]
+        if a & self.guard:
+            raise _Overflow
+        return a
+
+
+def _packed(order, polys, run, *args):
+    """run(packer, polys, *args) for term dicts, with fields that hold twice
+    the largest input degree, widened whenever a monomial outgrows them."""
+    deg = max((sum(e for _, e in m) for t in polys for m in t), default=1)
+    bits = max(6, (2 * deg).bit_length())
+    while True:
+        try:
+            return run(_Packer(order, bits), polys, *args)
+        except _Overflow:
+            bits *= 2
+
+
+# ---------------------------------------------------------------------------
+# packed polynomial dictionaries
+#
+# Over Q the engine reduces in Python ints: every basis element holds a
 # primitive integer multiple of its polynomial, and a reduction step
 # p <- (lc/g)*p - (c/g)*q*h with g = gcd(lc, c) keeps p integral.  Over Q(e)
 # it divides in the field of rational functions.  A reduction settles its
-# domain once, from the basis and the input together; the cancel step is the
-# only part that differs.
+# domain once, from the basis and the input together: over Q(e) no term of p
+# holds an int, since a Polynomial's coefficients never are ints.
 
 def _is_eps(polys):
     """Does any coefficient of the term dicts lie outside Q?"""
     return any(isinstance(c, EpsRational) for t in polys for c in t.values())
 
 
-def _cancel_q(lc, c):
+def _cancel(lc, c):
+    """The cancel step (a, b), a*c == b*lc: in ints when c is one, else in
+    the field."""
+    if type(c) is not int:
+        return 1, c / lc
     # g takes the sign of lc, so a = lc/g > 0 and the running scale of a
     # reduction only grows: it is 1 exactly when p was never multiplied
     g = gcd(lc, c) if lc > 0 else -gcd(lc, c)
     return lc // g, c // g
-
-
-def _cancel_eps(lc, c):
-    return 1, c / lc
-
-
-def _cancel(eps):
-    """The cancel step (a, b), a*c == b*lc, of the domain."""
-    return _cancel_eps if eps else _cancel_q
 
 
 def _content_normalize(terms):
@@ -68,52 +161,42 @@ def _content_normalize(terms):
     return {m: (c * scale).numerator for m, c in terms.items()}
 
 
-def _primitive(polys, eps):
+def _primitive(polys):
     """The nonzero term dicts, as primitive integer multiples over Q and with
     the coefficients as given over Q(e)."""
+    eps = _is_eps(polys)
     return [t if eps else _content_normalize(t) for t in polys if t]
 
 
-def _prep(terms, key):
-    lm = max(terms, key=key)
-    return (lm, terms[lm], terms)
-
-
-def _basis(polys, key, eps):
-    """Prepared triples (leading monomial, coefficient, terms)."""
-    return [_prep(t, key) for t in _primitive(polys, eps)]
-
-
-def _nf_dict(p, G, key, cancel):
-    """Full normal form of the dict p against prepared triples G.
-
-    Returns (r, scale): the remainder is r / scale.  Over Q the scale is the
-    product of the factors a by which the reduction multiplied p; over Q(e)
-    it stays 1.
-    """
+def _nf_dict(p, G, pk):
+    """Full normal form (r, scale) of the packed dict p against elements G:
+    the remainder is r / scale.  Over Q the scale is the product of the
+    factors a by which the reduction multiplied p; over Q(e) it stays 1."""
+    guard, D = pk.guard, pk.D
     p = dict(p)
     out = []
     scale = 1
     while p:
-        m = max(p, key=key)
+        m = max(p)
         c = p.pop(m)
-        for lm, lc, terms in G:
-            q = m_div(m, lm)
-            if q is not None:
-                a, b = cancel(lc, c)
-                if a != 1:
-                    p = {mm: v * a for mm, v in p.items()}
-                    scale *= a
-                for gm, gc in terms.items():
-                    if gm == lm:
-                        continue
-                    mm = m_mul(gm, q)
-                    v = p.get(mm, 0) - b * gc
-                    if v:
-                        p[mm] = v
-                    else:
-                        p.pop(mm, None)
-                break
+        for lm_off, lc, tail, lim, _ in G:
+            q = m - lm_off
+            if q & guard:
+                continue
+            if q & D > lim:
+                raise _Overflow
+            a, b = _cancel(lc, c)
+            if a != 1:
+                p = {mm: v * a for mm, v in p.items()}
+                scale *= a
+            for gm, gc in tail:
+                mm = gm + q
+                v = p.get(mm, 0) - b * gc
+                if v:
+                    p[mm] = v
+                else:
+                    p.pop(mm, None)
+            break
         else:
             out.append((m, c, scale))
     if scale == 1:
@@ -121,21 +204,19 @@ def _nf_dict(p, G, key, cancel):
     return {m: c * (scale // s) for m, c, s in out}, scale
 
 
-def _spoly(gi, gj, cancel):
-    """a*q_i*g_i - b*q_j*g_j with (a, b) the cancel step of the two leading
-    coefficients: (lc_j/g, lc_i/g) over Q, (1, lc_i/lc_j) over Q(e).  A
-    nonzero multiple of the monic S-polynomial, and zero exactly with it."""
-    lmi, lci, ti = gi
-    lmj, lcj, tj = gj
-    L = m_lcm(lmi, lmj)
-    qi, qj = m_div(L, lmi), m_div(L, lmj)
-    a, b = cancel(lcj, lci)
-    s = {m_mul(m, qi): c if a == 1 else a * c
-         for m, c in ti.items() if m != lmi}
-    for m, c in tj.items():
-        if m == lmj:
-            continue
-        mm = m_mul(m, qj)
+def _spoly(gi, gj, L, D):
+    """a*q_i*g_i - b*q_j*g_j, with q_i = L/lm_i and (a, b) the cancel step
+    of the leading coefficients: (lc_j/g, lc_i/g) over Q, (1, lc_i/lc_j) over
+    Q(e).  A multiple of the monic S-polynomial, zero exactly with it."""
+    lmi, lci, ti, limi, _ = gi
+    lmj, lcj, tj, limj, _ = gj
+    qi, qj = L - lmi, L - lmj
+    if qi & D > limi or qj & D > limj:
+        raise _Overflow
+    a, b = _cancel(lcj, lci)
+    s = {m + qi: c if a == 1 else a * c for m, c in ti}
+    for m, c in tj:
+        mm = m + qj
         v = s.get(mm, 0) - b * c
         if v:
             s[mm] = v
@@ -144,65 +225,65 @@ def _spoly(gi, gj, cancel):
     return s
 
 
-def _chain_skips(G, i, j, treated):
-    """Chain criterion: the pair (i, j) is redundant when some other leading
-    monomial divides lcm(lm_i, lm_j) and both of its pairs with i and with j
-    pass treated (pairs as (smaller, larger) index tuples)."""
-    L = m_lcm(G[i][0], G[j][0])
-    for k, g in enumerate(G):
-        if (k != i and k != j and m_divides(g[0], L)
+def _chain_skips(lmes, i, j, L, treated, eguard):
+    """Chain criterion: the pair (i, j) is redundant when another leading
+    monomial divides L = lcm(lm_i, lm_j) and its pairs with i and with j pass
+    treated (as (smaller, larger) index tuples).  lmes, L: exponent parts."""
+    for k, g in enumerate(lmes):
+        if (k != i and k != j and not (L - g) & eguard
                 and treated((min(i, k), max(i, k)))
                 and treated((min(j, k), max(j, k)))):
             return True
     return False
 
 
-def _buchberger(gen_dicts, order):
-    """Buchberger's algorithm on the term dicts; returns the reduced basis."""
-    key = order.key
-    eps = _is_eps(gen_dicts)
-    cancel = _cancel(eps)
-    G = _basis(gen_dicts, key, eps)
-    G.sort(key=lambda g: (m_deg(g[0]), key(g[0])))
+def _buchberger(pk, polys):
+    """Buchberger's algorithm on term dicts; returns the reduced basis."""
+    eps = _is_eps(polys)
+    G = pk.elements(_primitive(polys))
+    G.sort(key=pk.by_degree)
+    lmes = [g[_LM] & pk.emask for g in G]
     pairs = []
     pending = set()
 
     def push_pairs(j):
         for i in range(j):
-            L = m_lcm(G[i][0], G[j][0])
-            heapq.heappush(pairs, (m_deg(L), key(L), i, j))
+            L = pk.lcm(G[i], lmes[i], pk.emax(lmes[i], lmes[j]))
+            heapq.heappush(pairs, (L & pk.D, L, i, j))
             pending.add((i, j))
 
     for j in range(1, len(G)):
         push_pairs(j)
     while pairs:
-        _, _, i, j = heapq.heappop(pairs)
+        _, L, i, j = heapq.heappop(pairs)
         pending.discard((i, j))
-        if m_coprime(G[i][0], G[j][0]) or _chain_skips(
-                G, i, j, lambda pair: pair not in pending):
+        Le = L & pk.emask
+        if Le == lmes[i] + lmes[j] or _chain_skips(
+                lmes, i, j, Le, lambda pair: pair not in pending, pk.eguard):
             continue
-        r, _ = _nf_dict(_spoly(G[i], G[j], cancel), G, key, cancel)
+        r, _ = _nf_dict(_spoly(G[i], G[j], L, pk.D), G, pk)
         if r:
-            G += _basis([r], key, eps)
+            G.append(pk.element(r if eps else _content_normalize(r)))
+            lmes.append(G[-1][_LM] & pk.emask)
             push_pairs(len(G) - 1)
-    return _reduce_basis(G, key, eps)
+    return _reduce_basis(G, pk)
 
 
-def _reduce_basis(G, key, eps):
-    """Minimalize, tail-reduce and make monic; sorted by leading monomial."""
-    cancel = _cancel(eps)
+def _reduce_basis(G, pk):
+    """Minimalize, tail-reduce and make monic; decoded term dicts, sorted by
+    leading monomial."""
     kept = []
-    for g in sorted(G, key=lambda g: (m_deg(g[0]), key(g[0]))):
-        if not any(m_divides(h[0], g[0]) for h in kept):
+    for g in sorted(G, key=pk.by_degree):
+        if not any((g[_LM] - h[0]) & pk.guard == 0 for h in kept):
             kept.append(g)
+    kept.sort(key=lambda g: g[_LM])
     out = []
     for g in kept:
-        others = [h for h in kept if h[0] != g[0]]
-        r, _ = _nf_dict(g[2], others, key, cancel)
-        lc = r[max(r, key=key)]
-        out.append({m: c / lc if eps else Fraction(c, lc)
-                    for m, c in r.items()})
-    out.sort(key=lambda t: key(max(t, key=key)))
+        r, scale = _nf_dict({m + pk.off: c for m, c in g[2]},
+                            [h for h in kept if h is not g], pk)
+        lc = g[1] * scale
+        out.append({pk.decode(m): Fraction(c, lc) if type(lc) is int
+                    else c / lc for m, c in ((g[_LM], lc), *r.items())})
     return out
 
 
@@ -233,8 +314,8 @@ class IdealPresentation:
         sig = order.signature
         got = self._gb.get(sig)
         if got is None:
-            out = _buchberger([p.terms for p in self.generators], order)
-            got = tuple(Polynomial(self.ring, t) for t in out)
+            got = tuple(Polynomial(self.ring, t) for t in _packed(
+                order, [p.terms for p in self.generators], _buchberger))
             self._gb[sig] = got
         return got
 
@@ -263,20 +344,37 @@ def reduced_groebner_basis(I, order=None):
     return _as_ideal(I).reduced_basis(order)
 
 
+def normal_forms(polys, basis, order=None):
+    """Remainders of the polynomials on division by one Groebner basis for
+    the given order; the basis is encoded and prepared once."""
+    polys = list(polys)
+    if not polys:
+        return []
+    gens = _primitive([g.terms for g in basis])
+    eps_basis = _is_eps(gens)
+
+    def run(pk, _):
+        G = pk.elements(gens)
+        out = []
+        for p in polys:
+            t = p.terms
+            eps = eps_basis or _is_eps([t])
+            den = 1 if eps else lcm(*{c.denominator for c in t.values()})
+            r, scale = _nf_dict({pk.encode(m): c if eps else
+                                 c.numerator * (den // c.denominator)
+                                 for m, c in t.items()}, G, pk)
+            out.append(Polynomial(p.ring, {
+                pk.decode(m): c if eps else Fraction(c, scale * den)
+                for m, c in r.items()}))
+        return out
+
+    return _packed(order or block_order(polys[0].ring),
+                   gens + [p.terms for p in polys], run)
+
+
 def normal_form(p, basis, order=None):
     """Remainder of p on division by a Groebner basis for the given order."""
-    order = order or block_order(p.ring)
-    polys = [g.terms for g in basis]
-    eps = _is_eps(polys + [p.terms])
-    G = _basis(polys, order.key, eps)
-    if eps:
-        r, _ = _nf_dict(p.terms, G, order.key, _cancel_eps)
-        return Polynomial(p.ring, r)
-    den = lcm(*{c.denominator for c in p.terms.values()})
-    r, scale = _nf_dict({m: c.numerator * (den // c.denominator)
-                         for m, c in p.terms.items()}, G, order.key, _cancel_q)
-    return Polynomial(p.ring, {m: Fraction(c, scale * den)
-                               for m, c in r.items()})
+    return normal_forms([p], basis, order)[0]
 
 
 def initial_ideal(I, order=None):
@@ -355,20 +453,21 @@ def minimal_generators(I):
 # ---------------------------------------------------------------------------
 # basis checking and order families
 
-def _pairs_reduce_to_zero(polys, key, eps, use_chain=True):
+def _pairs_reduce_to_zero(pk, polys, use_chain=True):
     """(flag, witness) of is_groebner_basis for term dicts from _primitive."""
-    cancel = _cancel(eps)
-    G = [_prep(t, key) for t in polys]
+    G = pk.elements(polys)
+    lmes = [g[_LM] & pk.emask for g in G]
     done = set()
-    idx = sorted(range(len(G)), key=lambda i: (m_deg(G[i][0]), key(G[i][0])))
+    idx = sorted(range(len(G)), key=lambda i: pk.by_degree(G[i]))
     for a in range(len(idx)):
         for b in range(a):
             i, j = idx[b], idx[a]
-            if (not m_coprime(G[i][0], G[j][0])
-                    and not (use_chain
-                             and _chain_skips(G, i, j, done.__contains__))
-                    and _nf_dict(_spoly(G[i], G[j], cancel), G, key,
-                                 cancel)[0]):
+            Le = pk.emax(lmes[i], lmes[j])
+            if (Le != lmes[i] + lmes[j]
+                    and not (use_chain and _chain_skips(
+                        lmes, i, j, Le, done.__contains__, pk.eguard))
+                    and _nf_dict(_spoly(G[i], G[j], pk.lcm(
+                        G[i], lmes[i], Le), pk.D), G, pk)[0]):
                 return False, (i, j)
             done.add((min(i, j), max(i, j)))
     return True, None
@@ -379,10 +478,8 @@ def is_groebner_basis(gens, order, use_chain=True):
 
     Returns (flag, witness); the witness is the offending generator pair.
     """
-    polys = [p.terms for p in gens]
-    eps = _is_eps(polys)
-    return _pairs_reduce_to_zero(_primitive(polys, eps), order.key, eps,
-                                 use_chain)
+    return _packed(order, _primitive([p.terms for p in gens]),
+                   _pairs_reduce_to_zero, use_chain)
 
 
 def letter_rankings(n):
@@ -407,12 +504,9 @@ def permuted_block_lex_orders(ring):
 
 
 def random_weight_orders(ring, count, seed=0):
-    rng = random.Random(seed)
-    out = []
-    for _ in range(count):
-        weights = [rng.randint(1, 10 ** 6) for _ in range(ring.nvars)]
-        out.append(WeightOrder(ring, weights))
-    return out
+    rng, n = random.Random(seed), ring.nvars
+    return [WeightOrder(ring, [rng.randint(1, 10 ** 6) for _ in range(n)])
+            for _ in range(count)]
 
 
 def universal_groebner_check(gens, orders, jobs=1):
@@ -424,11 +518,9 @@ def universal_groebner_check(gens, orders, jobs=1):
     """
     if jobs != 1:
         raise ValueError("only jobs=1 is supported")
-    polys = [p.terms for p in gens]
-    eps = _is_eps(polys)
-    polys = _primitive(polys, eps)
+    polys = _primitive([p.terms for p in gens])
     for k, order in enumerate(orders):
-        ok, pair = _pairs_reduce_to_zero(polys, order.key, eps)
+        ok, pair = _packed(order, polys, _pairs_reduce_to_zero)
         if not ok:
             return False, {"order_index": k, "pair": pair}
     return True, None

@@ -159,11 +159,6 @@ def m_lcm(a, b):
     return tuple(sorted(acc.items()))
 
 
-def m_coprime(a, b):
-    vb = {v for v, _ in b}
-    return not any(v in vb for v, _ in a)
-
-
 def m_deg(a):
     return sum(e for _, e in a)
 
@@ -190,42 +185,21 @@ def _integer_weights(row):
     return tuple((w * d).numerator for w in row)
 
 
-class TermOrder:
-    __slots__ = ("ring", "_cache")
-
-    def key(self, m):
-        k = self._cache.get(m)
-        if k is None:
-            k = self._key(m)
-            self._cache[m] = k
-        return k
-
-    def leading(self, terms):
-        return max(terms, key=self.key)
-
-    def compare(self, a, b):
-        ka, kb = self.key(a), self.key(b)
-        return (ka > kb) - (ka < kb)
-
-
-class WeightLexOrder(TermOrder):
+class WeightLexOrder:
     """Integer weight rows compared in turn, ties broken lexicographically
     along perm (largest variable first).  Every term order has this form
     (Robbiano 1985); lex has no rows.  The key is the tuple of row sums
     followed by the dense exponent vector along perm."""
 
-    __slots__ = ("rows", "perm", "_pos")
+    __slots__ = ("ring", "rows", "perm", "_pos", "_cache")
 
     def __init__(self, ring, rows=(), perm=None):
         self.ring = ring
         self._cache = {}
         nvars = ring.nvars
-        if rows:
-            rows = tuple(_integer_weights(row) for row in rows)
-            if any(len(row) != nvars for row in rows):
-                raise ValueError("every weight row needs one entry per "
-                                 "variable")
-        self.rows = tuple(rows)
+        self.rows = tuple(_integer_weights(row) for row in rows)
+        if any(len(row) != nvars for row in self.rows):
+            raise ValueError("every weight row needs one entry per variable")
         if perm is None:
             self.perm = self._pos = tuple(range(nvars))
             return
@@ -234,15 +208,20 @@ class WeightLexOrder(TermOrder):
             raise ValueError("perm must list every variable exactly once")
         self._pos = {v: i for i, v in enumerate(perm)}
 
-    def _key(self, m):
-        pos = self._pos
-        out = [0] * len(pos)
-        for v, e in m:
-            out[pos[v]] = e
-        if not self.rows:
-            return tuple(out)
-        return tuple(sum(row[v] * e for v, e in m)
-                     for row in self.rows) + tuple(out)
+    def key(self, m):
+        k = self._cache.get(m)
+        if k is None:
+            pos, out = self._pos, [0] * len(self._pos)
+            for v, e in m:
+                out[pos[v]] = e
+            k = tuple(sum(row[v] * e for v, e in m)
+                      for row in self.rows) + tuple(out)
+            self._cache[m] = k
+        return k
+
+    def compare(self, a, b):
+        ka, kb = self.key(a), self.key(b)
+        return (ka > kb) - (ka < kb)
 
     @property
     def signature(self):
@@ -260,8 +239,6 @@ def MatrixOrder(ring, rows, tiebreak=None):
     lexicographic permutation (the block order when none is given)."""
     if tiebreak is None:
         return WeightLexOrder(ring, rows)
-    if not isinstance(tiebreak, WeightLexOrder):
-        raise TypeError("a tiebreak must be a weight or lex order")
     return WeightLexOrder(ring, tuple(rows) + tiebreak.rows, tiebreak.perm)
 
 
@@ -271,28 +248,15 @@ def WeightOrder(ring, weights, tiebreak=None):
     return MatrixOrder(ring, [weights], tiebreak)
 
 
-class GrevlexOrder(TermOrder):
-    """Graded reverse lexicographic order on a permutation of the variables.
-
-    Kept apart from WeightLexOrder: as weight rows it needs the all-ones
-    row and one row -e_v per variable, and that key is slower to build in
-    the saturation loop of toric_ideal."""
-
-    __slots__ = ("perm",)
-
-    def __init__(self, ring, perm=None):
-        self.ring = ring
-        self._cache = {}
-        self.perm = tuple(perm) if perm is not None else tuple(range(ring.nvars))
-
-    def _key(self, m):
-        exps = dict(m)
-        rev = tuple(-exps.get(v, 0) for v in reversed(self.perm))
-        return (m_deg(m),) + rev
-
-    @property
-    def signature(self):
-        return ("grevlex", self.perm)
+def GrevlexOrder(ring, perm=None):
+    """Graded reverse lexicographic order on a permutation of the variables:
+    the all-ones row, the 0/1 row of each shorter prefix of perm down to
+    length two, then lex along perm.  The last exponent along perm where two
+    monomials of one degree differ is the first prefix sum to differ."""
+    perm = tuple(perm) if perm is not None else tuple(range(ring.nvars))
+    rows = [[int(v in perm[:k]) for v in range(ring.nvars)]
+            for k in range(len(perm), 1, -1)]
+    return WeightLexOrder(ring, rows, perm)
 
 
 def block_order(ring):
@@ -453,7 +417,7 @@ class Polynomial:
     def leading_term(self, order):
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        m = order.leading(self.terms)
+        m = max(self.terms, key=order.key)
         return self.terms[m], m
 
     def map_coefficients(self, fn, ring=None):

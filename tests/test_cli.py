@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -121,6 +123,34 @@ def test_input_errors_exit_2(tmp_path, capsys):
     path.write_text("x1*y2 - x2*y1\n")
     assert main(["gb", str(path), "--order", "bogus:spec"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("n", ["-3", "0"])
+def test_camera_count_below_one_exits_2(tmp_path, capsys, n):
+    path = tmp_path / "m.txt"
+    path.write_text("x1*y2\n")
+    assert main(["gb", str(path), "--n", n]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and not captured.out
+
+
+def test_closed_pipe_keeps_exit_code_without_traceback(tmp_path):
+    # the read end is closed before the child starts, so its first write
+    # meets a broken pipe whatever the timing
+    path = tmp_path / "m.txt"
+    path.write_text("x1*y2\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    for argv in (["gb", str(path)], ["degeneration", "verify", "--n", "2"]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "mvgb.cli", *argv],
+                                  stdout=write_end, stderr=subprocess.PIPE,
+                                  env=env, text=True, timeout=120)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 0
+        assert "Traceback" not in proc.stderr and "Error" not in proc.stderr
 
 
 def test_tangent_needs_its_file(capsys):

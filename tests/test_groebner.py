@@ -13,18 +13,19 @@ from mvgb.cameras import (
     multiview_generators, multiview_ideal,
 )
 from mvgb.groebner import (
-    cone_certificates, eliminate, hilbert_value, ideal, ideal_equal,
-    initial_ideal, intersect, is_groebner_basis, letter_rankings,
-    minimal_generators, normal_form, permuted_block_lex_orders,
-    random_weight_orders, reduced_groebner_basis, universal_basis_certificate,
-    universal_groebner_check,
+    _Overflow, _Packer, _buchberger, cone_certificates, eliminate,
+    hilbert_value, ideal, ideal_equal, initial_ideal, intersect,
+    is_groebner_basis, letter_rankings, minimal_generators, normal_form,
+    permuted_block_lex_orders, random_weight_orders, reduced_groebner_basis,
+    universal_basis_certificate, universal_groebner_check,
 )
 from mvgb.degeneration import collinear_family_generators
 from mvgb.exactalg import EpsRational
 from mvgb.monomial import MonomialIdeal, generic_initial_ideal
 from mvgb.polyring import (
-    LexOrder, Polynomial, Ring, WeightOrder, block_order, format_polynomial,
-    m_div, m_from_pairs, m_mul, m_one, parse_monomial, parse_polynomial,
+    GrevlexOrder, LexOrder, MatrixOrder, Polynomial, Ring, WeightOrder,
+    block_order, format_polynomial, m_deg, m_div, m_divides, m_from_pairs,
+    m_lcm, m_mul, m_one, parse_monomial, parse_polynomial,
 )
 
 
@@ -496,3 +497,107 @@ def test_bases_and_witnesses_are_pinned(seed, n, digest):
     # digests of the transcript as the field-arithmetic engine wrote it
     text = _basis_transcript(seed, n)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# packed monomials
+
+ONES = [1] * R3.nvars
+int_rows = st.lists(st.integers(-9, 9), min_size=R3.nvars, max_size=R3.nvars)
+rational_rows = st.lists(st.fractions(-4, 4, max_denominator=6),
+                         min_size=R3.nvars, max_size=R3.nvars)
+perms = st.permutations(range(R3.nvars))
+packed_orders = st.one_of(
+    perms.map(lambda p: LexOrder(R3, p)),
+    st.tuples(st.lists(st.integers(1, 10 ** 6), min_size=R3.nvars,
+                       max_size=R3.nvars), perms).map(
+        lambda t: WeightOrder(R3, t[0], LexOrder(R3, t[1]))),
+    rational_rows.map(lambda w: WeightOrder(R3, w)),
+    int_rows.map(lambda w: WeightOrder(R3, w)),
+    st.tuples(int_rows, int_rows).map(
+        lambda t: MatrixOrder(R3, [ONES, t[0], [-c for c in t[1]]])),
+    perms.map(lambda p: GrevlexOrder(R3, p)),
+    st.tuples(rational_rows, perms).map(
+        lambda t: WeightOrder(R3, t[0], GrevlexOrder(R3, t[1]))),
+)
+packed_monomials = st.lists(
+    st.tuples(st.integers(0, R3.nvars - 1), st.integers(1, 9)),
+    max_size=4).map(m_from_pairs)
+
+
+def m_coprime(a, b):
+    """Oracle: no variable divides both."""
+    return not {v for v, _ in a} & {v for v, _ in b}
+
+
+@settings(max_examples=150, deadline=None)
+@given(packed_orders, st.integers(5, 7),
+       st.lists(packed_monomials, min_size=2, max_size=5))
+def test_packed_monomials_follow_the_order_and_tuple_arithmetic(
+        order, bits, monos):
+    pk = _Packer(order, bits)
+    monos = [m for m in monos if m_deg(m) <= pk.D]
+    packed = [pk.encode(m) for m in monos]
+    for m, x in zip(monos, packed):
+        assert pk.decode(x) == m and not x & pk.guard
+    for a, x in zip(monos, packed):
+        for b, y in zip(monos, packed):
+            assert (x > y) - (x < y) == order.compare(a, b)
+            product = x + y - pk.off
+            assert bool(product & pk.guard) == (m_deg(a) + m_deg(b) > pk.D)
+            if m_deg(a) + m_deg(b) <= pk.D:
+                assert product == pk.encode(m_mul(a, b))
+            quotient = x - y + pk.off
+            assert (not quotient & pk.guard) == m_divides(b, a)
+            if m_divides(b, a):
+                assert quotient == pk.encode(m_div(a, b))
+            xe, ye = x & pk.emask, y & pk.emask
+            top = pk.emax(xe, ye)
+            assert (top == xe + ye) == m_coprime(a, b)
+            if m_deg(m_lcm(a, b)) <= pk.D:
+                assert pk.times(x, top - xe) == pk.encode(m_lcm(a, b))
+            else:
+                with pytest.raises(_Overflow):
+                    pk.times(x, top - xe)
+
+
+def test_exponents_past_the_default_fields_widen_them():
+    # the chain x1 - x2^2, x2 - x3^2, ..., y3 - z1^2 is a lex basis whose
+    # tail reduction reaches z1^64, past the 63 that fields sized for the
+    # quadrics hold; the reduced basis is y3 - z1^2, ..., x1 - z1^64
+    names = ["x1", "x2", "x3", "y1", "y2", "y3", "z1"]
+    gens = [P(R3, "%s - %s^2" % (a, b)) for a, b in zip(names, names[1:])]
+    order = block_order(R3)
+    with pytest.raises(_Overflow):
+        _buchberger(_Packer(order, 6), [g.terms for g in gens])
+    gb = reduced_groebner_basis(ideal(R3, gens), order)
+    assert [format_polynomial(g) for g in gb] == [
+        "%s - z1^%d" % (a, 2 ** (6 - k))
+        for k, a in reversed(list(enumerate(names[:-1])))]
+    for g in gens:
+        assert field_normal_form(g, gb, order).is_zero
+    assert normal_form(P(R3, "x1^2 + x2"), gb) == P(R3, "z1^128 + z1^32")
+    assert is_groebner_basis(gb, order) == (True, None)
+
+
+@pytest.mark.parametrize("order", [
+    WeightOrder(R3, [-1] * R3.nvars),
+    MatrixOrder(R3, [ONES, [-c for c in range(R3.nvars)]]),
+    WeightOrder(R3, [-1] * R3.nvars, GrevlexOrder(R3, range(R3.nvars))),
+])
+def test_negative_weight_rows_keep_the_basis_minimal(order):
+    # a multiple of a leading monomial can come first in such an order;
+    # minimalization still drops it, since divisors are tested first
+    gens = [P(R3, s) for s in ("x1*y2*z1", "x1*y2", "x1^2*y2*z3^2")]
+    assert reduced_groebner_basis(ideal(R3, gens), order) == (
+        P(R3, "x1*y2"),)
+    gens = [P(R3, "x1*y2*z1 - x3"), P(R3, "x1*y2")]
+    assert set(reduced_groebner_basis(ideal(R3, gens), order)) == {
+        P(R3, "x1*y2"), P(R3, "x3")}
+
+
+def test_normal_form_takes_a_basis_iterator():
+    gb = reduced_groebner_basis(ideal(R3, [P(R3, "x1^2 - y1"),
+                                           P(R3, "x1*y1 - z1")]))
+    p = P(R3, "x1^3 + y1^2")
+    assert normal_form(p, iter(gb)) == normal_form(p, gb) != p

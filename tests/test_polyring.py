@@ -166,9 +166,19 @@ def test_malformed_orders_raise(build):
         build()
 
 
-def test_grevlex_tiebreak_raises():
-    with pytest.raises(TypeError):
-        WeightOrder(R3, [1] * 9, GrevlexOrder(R3))
+@settings(max_examples=60)
+@given(st.permutations(BLOCK),
+       st.lists(st.integers(0, 1), min_size=R3.nvars, max_size=R3.nvars),
+       st.lists(monomials(max_exp=2), min_size=2, max_size=6))
+def test_weight_order_with_grevlex_tiebreak(perm, w, monos):
+    # grevlex is weight rows over lex, so it refines a weight order too
+    order = WeightOrder(R3, w, GrevlexOrder(R3, perm))
+    monos += [m_mul(a, b) for a, b in zip(monos, monos[1:])]
+    for a in monos:
+        for b in monos:
+            wa, wb = (sum(w[v] * e for v, e in m) for m in (a, b))
+            assert order.compare(a, b) == (
+                sign(wa - wb) or grevlex_compare(perm, a, b))
 
 
 @settings(max_examples=200)
