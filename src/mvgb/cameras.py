@@ -7,8 +7,9 @@ from __future__ import annotations
 import itertools
 import warnings
 from fractions import Fraction
+from math import lcm
 
-from .exactalg import Matrix, det, eps, inverse, kernel, rank
+from .exactalg import EpsRational, Matrix, det, eps, inverse, kernel, rank
 from .groebner import IdealPresentation, eliminate
 from .polyring import Polynomial, Ring, m_from_pairs
 
@@ -24,9 +25,15 @@ __all__ = [
 
 
 class CameraConfig:
-    """An n-tuple of rank-3 exact 3x4 camera matrices, n >= 2."""
+    """An n-tuple of rank-3 exact 3x4 camera matrices, n >= 2.
 
-    __slots__ = ("matrices", "_brackets")
+    Row r of camera c (both 0-based) is global row 3c + r.  Brackets, the
+    4x4 determinants of camera rows, come from a table built on first use
+    and kept on the instance: the six 2x2 minors of every pair of global
+    rows, in ints over Q (each row scaled by the lcm of its denominators)
+    and as rational functions for rows with entries in Q(e)."""
+
+    __slots__ = ("matrices", "_pairs", "_brackets")
 
     def __init__(self, matrices):
         ms = []
@@ -43,6 +50,7 @@ class CameraConfig:
         if len(ms) < 2:
             raise ValueError("need at least two cameras")
         self.matrices = tuple(ms)
+        self._pairs = None
         self._brackets = {}
 
     @property
@@ -52,14 +60,57 @@ class CameraConfig:
     def ring(self, extended=False):
         return Ring(self.n, extended=extended)
 
+    def _pair_table(self):
+        """(minors, scale) per global row pair g <= h: the 2x2 minors of the
+        scaled rows over the column pairs in lex order, and the product of
+        the two row scales.  A row with an entry in Q(e) keeps scale 1 and
+        Q(e) entries, so every minor it enters is in Q(e), as its brackets
+        are.  The pairs g == h have zero minors, so a bracket of a repeated
+        row expands to a zero of the right field."""
+        scaled = []
+        for m in self.matrices:
+            for row in m.rows:
+                if any(isinstance(e, EpsRational) for e in row):
+                    scaled.append(([EpsRational(e) for e in row], 1))
+                else:
+                    d = lcm(*{e.denominator for e in row})
+                    scaled.append(([(e * d).numerator for e in row], d))
+        cols = tuple(itertools.combinations(range(4), 2))
+        self._pairs = {
+            (g, h): (tuple(u[a] * v[b] - u[b] * v[a] for a, b in cols),
+                     su * sv)
+            for g, (u, su) in enumerate(scaled)
+            for h, (v, sv) in enumerate(scaled) if g <= h}
+        return self._pairs
+
+    def _sorted_bracket(self, rows):
+        """The bracket of global rows g0 <= g1 <= g2 <= g3: Laplace
+        expansion along the first two rows, one product of 2x2 minors per
+        column pair and its complement."""
+        got = self._brackets.get(rows)
+        if got is None:
+            pairs = self._pairs or self._pair_table()
+            (a0, a1, a2, a3, a4, a5), sa = pairs[rows[0], rows[1]]
+            (b0, b1, b2, b3, b4, b5), sb = pairs[rows[2], rows[3]]
+            got = a0 * b5 - a1 * b4 + a2 * b3 + a3 * b2 - a4 * b1 + a5 * b0
+            if type(got) is int:
+                got = Fraction(got, sa * sb)
+            elif sa * sb != 1:
+                got = got / (sa * sb)
+            self._brackets[rows] = got
+        return got
+
     def bracket(self, rows):
         """Determinant of the 4x4 matrix of camera rows (camera, row), both
         0-based, taken in the listed order."""
-        got = self._brackets.get(rows)
-        if got is None:
-            got = det(Matrix([self.matrices[c].rows[r] for c, r in rows]))
-            self._brackets[rows] = got
-        return got
+        if len(rows) != 4 or not all(0 <= c < self.n and 0 <= r < 3
+                                     for c, r in rows):
+            raise ValueError("a bracket takes four (camera, row) pairs "
+                             "with camera < %d and row < 3" % self.n)
+        g = [3 * c + r for c, r in rows]
+        val = self._sorted_bracket(tuple(sorted(g)))
+        swaps = sum(a > b for a, b in itertools.combinations(g, 2))
+        return -val if swaps % 2 else val
 
 
 class FocalPoint:
@@ -120,10 +171,8 @@ def is_generic(config):
     """All 4x4 minors of the stacked 4x3n matrix of camera transposes must be
     nonzero.  Returns (flag, witness); the witness is the column quadruple of
     the first vanishing minor."""
-    n = config.n
-    for quad in itertools.combinations(range(3 * n), 4):
-        rows = tuple((g // 3, g % 3) for g in quad)
-        if not config.bracket(rows):
+    for quad in itertools.combinations(range(3 * config.n), 4):
+        if not config._sorted_bracket(quad):
             return False, quad
     return True, None
 
@@ -144,13 +193,25 @@ def extend_to_invertible(config):
     return out
 
 
+def _checked_sigma(config, sigma, ring=None):
+    """sigma sorted, after checking that it names at least two distinct
+    cameras of the configuration (and of the ring, when one is given)."""
+    sigma = tuple(sorted(sigma))
+    top = config.n if ring is None else min(config.n, ring.n)
+    if len(sigma) < 2:
+        raise ValueError("sigma needs at least two cameras")
+    if len(set(sigma)) < len(sigma) or not all(
+            isinstance(i, int) and 1 <= i <= top for i in sigma):
+        raise ValueError("sigma must list distinct cameras in 1..%d, got %r"
+                         % (top, sigma))
+    return sigma
+
+
 def stacked_camera_matrix(config, sigma, extended=False):
     """The block matrix pairing camera rows with one variable column per
     camera of sigma: 3s x (s+4) entries, or 4s x (s+4) in the extended case.
     Entries are polynomials."""
-    sigma = tuple(sorted(sigma))
-    if len(sigma) < 2:
-        raise ValueError("sigma needs at least two cameras")
+    sigma = _checked_sigma(config, sigma)
     ring = config.ring(extended)
     letters = ring.letters
     mats = extend_to_invertible(config) if extended else config.matrices
@@ -172,34 +233,40 @@ def stacked_camera_matrix(config, sigma, extended=False):
 
 def sigma_minor(config, sigma, rows, ring=None):
     """Maximal minor of the stacked matrix for the given global row subset,
-    expanded as a sum of variable products times camera brackets."""
-    sigma = tuple(sorted(sigma))
+    expanded as a sum of variable products times camera brackets.
+
+    Expanding along the variable columns picks one row per camera block;
+    the other four rows give the bracket.  The picked rows hold one variable
+    of each camera of sigma, so each choice is a distinct monomial."""
+    sigma = _checked_sigma(config, sigma, ring)
     s = len(sigma)
-    if len(rows) != s + 4:
-        raise ValueError("need %d rows" % (s + 4))
+    rows = sorted(rows)
+    if len(rows) != s + 4 or len(set(rows)) < len(rows) or not all(
+            isinstance(r, int) and 0 <= r < 3 * s for r in rows):
+        raise ValueError("need %d distinct rows in 0..%d" % (s + 4, 3 * s - 1))
     ring = ring or config.ring()
     letters = ring.letters
-    rows = sorted(rows)
-    pos = {r: i for i, r in enumerate(rows)}
-    blocks = [[r for r in rows if b * 3 <= r < (b + 1) * 3] for b in range(s)]
+    # stacked row r is row r % 3 of camera sigma[r // 3]; sigma is sorted,
+    # so the global rows keep the order of the stacked ones.  Per block:
+    # the position of each row, its variable, and the block's other rows.
+    picks, monos, rests = [], [], []
+    for b, cam in enumerate(sigma):
+        block = [(k, r % 3) for k, r in enumerate(rows) if r // 3 == b]
+        picks.append([k for k, _ in block])
+        monos.append([(ring.var(letters[l], cam), 1) for _, l in block])
+        rests.append([tuple(3 * (cam - 1) + l for _, l in block
+                            if l != chosen) for _, chosen in block])
     col_sign = sum(range(4, 4 + s)) % 2
+    bracket = config._sorted_bracket
     terms = {}
-    for choice in itertools.product(*blocks):
-        chosen = set(choice)
-        remaining = [r for r in rows if r not in chosen]
-        bracket_rows = tuple((sigma[r // 3] - 1, r % 3) for r in remaining)
-        val = config.bracket(bracket_rows)
-        if not val:
-            continue
-        if (col_sign + sum(pos[r] for r in choice)) % 2:
-            val = -val
-        mono = m_from_pairs([(ring.var(letters[r % 3], sigma[r // 3]), 1)
-                             for r in choice])
-        v = terms.get(mono, 0) + val
-        if v:
-            terms[mono] = v
-        else:
-            terms.pop(mono, None)
+    for pick, mono, rest in zip(itertools.product(*picks),
+                                itertools.product(*monos),
+                                itertools.product(*rests)):
+        val = bracket(sum(rest, ()))
+        if val:
+            if (col_sign + sum(pick)) % 2:
+                val = -val
+            terms[tuple(sorted(mono))] = val
     return Polynomial(ring, terms)
 
 

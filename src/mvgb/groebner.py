@@ -225,14 +225,15 @@ def _spoly(gi, gj, L, D):
     return s
 
 
-def _chain_skips(lmes, i, j, L, treated, eguard):
+def _chain_skips(lmes, i, j, L, done, eguard):
     """Chain criterion: the pair (i, j) is redundant when another leading
-    monomial divides L = lcm(lm_i, lm_j) and its pairs with i and with j pass
-    treated (as (smaller, larger) index tuples).  lmes, L: exponent parts."""
+    monomial divides L = lcm(lm_i, lm_j) and its pairs with i and with j are
+    in done, the set of treated pairs as (smaller, larger) index tuples.
+    lmes, L: exponent parts."""
     for k, g in enumerate(lmes):
         if (k != i and k != j and not (L - g) & eguard
-                and treated((min(i, k), max(i, k)))
-                and treated((min(j, k), max(j, k)))):
+                and ((i, k) if i < k else (k, i)) in done
+                and ((j, k) if j < k else (k, j)) in done):
             return True
     return False
 
@@ -244,22 +245,23 @@ def _buchberger(pk, polys):
     G.sort(key=pk.by_degree)
     lmes = [g[_LM] & pk.emask for g in G]
     pairs = []
-    pending = set()
+    # every pair of current elements is on the heap until it is popped, so
+    # the popped pairs are the treated ones
+    done = set()
 
     def push_pairs(j):
         for i in range(j):
             L = pk.lcm(G[i], lmes[i], pk.emax(lmes[i], lmes[j]))
             heapq.heappush(pairs, (L & pk.D, L, i, j))
-            pending.add((i, j))
 
     for j in range(1, len(G)):
         push_pairs(j)
     while pairs:
         _, L, i, j = heapq.heappop(pairs)
-        pending.discard((i, j))
+        done.add((i, j))
         Le = L & pk.emask
         if Le == lmes[i] + lmes[j] or _chain_skips(
-                lmes, i, j, Le, lambda pair: pair not in pending, pk.eguard):
+                lmes, i, j, Le, done, pk.eguard):
             continue
         r, _ = _nf_dict(_spoly(G[i], G[j], L, pk.D), G, pk)
         if r:
@@ -465,11 +467,11 @@ def _pairs_reduce_to_zero(pk, polys, use_chain=True):
             Le = pk.emax(lmes[i], lmes[j])
             if (Le != lmes[i] + lmes[j]
                     and not (use_chain and _chain_skips(
-                        lmes, i, j, Le, done.__contains__, pk.eguard))
+                        lmes, i, j, Le, done, pk.eguard))
                     and _nf_dict(_spoly(G[i], G[j], pk.lcm(
                         G[i], lmes[i], Le), pk.D), G, pk)[0]):
                 return False, (i, j)
-            done.add((min(i, j), max(i, j)))
+            done.add((i, j) if i < j else (j, i))
     return True, None
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import warnings
@@ -5,6 +6,8 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvgb.cameras import (
     CameraConfig, collinear_cameras, epipolar_form,
@@ -18,7 +21,7 @@ from mvgb.exactalg import Matrix, det, eps, rank
 from mvgb.groebner import (
     hilbert_value, ideal, ideal_equal, normal_form, reduced_groebner_basis,
 )
-from mvgb.polyring import Ring, parse_polynomial
+from mvgb.polyring import Ring, format_polynomial, parse_polynomial
 
 
 def random_config(rng, n):
@@ -123,17 +126,98 @@ def test_stacked_matrix_shapes():
         stacked_camera_matrix(c, (1,))
 
 
+def rational_config(rng, n):
+    """A configuration whose entries have denominators up to 7."""
+    while True:
+        mats = [[[Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+                  for _ in range(4)] for _ in range(3)] for _ in range(n)]
+        try:
+            return CameraConfig(mats)
+        except ValueError:
+            continue
+
+
 def test_sigma_minor_matches_determinant_oracle():
+    # integer, non-integer rational, Q(e), and Q(e) with non-integer rows
     rng = random.Random(11)
-    c = random_config(rng, 3)
-    for sigma in [(1, 2), (2, 3), (1, 2, 3)]:
-        s = len(sigma)
-        A = stacked_camera_matrix(c, sigma)
-        subsets = list(itertools.combinations(range(3 * s), s + 4))
-        rng.shuffle(subsets)
-        for rows in subsets[:6]:
-            oracle = det(A.submatrix(rows, range(s + 4)))
-            assert sigma_minor(c, sigma, rows) == oracle
+    configs = [random_config(rng, 3), rational_config(rng, 3),
+               collinear_cameras(3),
+               rescale_cameras(collinear_cameras(3), [Fraction(1, 2), 3, 1])]
+    for c in configs:
+        for sigma in [(1, 2), (2, 3), (1, 2, 3)]:
+            s = len(sigma)
+            A = stacked_camera_matrix(c, sigma)
+            subsets = list(itertools.combinations(range(3 * s), s + 4))
+            rng.shuffle(subsets)
+            for rows in subsets[:6]:
+                oracle = det(A.submatrix(rows, range(s + 4)))
+                assert sigma_minor(c, sigma, rows) == oracle
+
+
+BRACKET_CONFIGS = {
+    "integer": random_config(random.Random(13), 3),
+    "rational": rational_config(random.Random(13), 3),
+    "eps": collinear_cameras(3),
+    "eps_at_2/3": collinear_cameras(3, Fraction(2, 3)),
+    "eps_rational": rescale_cameras(
+        collinear_cameras(3), [Fraction(1, 2), Fraction(-3, 5), 4]),
+}
+global_rows = st.one_of(
+    st.permutations(range(9)).map(lambda p: p[:4]),
+    st.lists(st.integers(0, 8), min_size=4, max_size=4))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(BRACKET_CONFIGS)), global_rows)
+def test_bracket_matches_determinant_oracle(name, rows):
+    # rows in any order, repeats allowed, and again with the first two
+    # swapped; the field of the value (Fraction or EpsRational) must be
+    # det's too, since the text format shows it
+    c = BRACKET_CONFIGS[name]
+    rows = [(g // 3, g % 3) for g in rows]
+    for order in (rows, rows[1::-1] + rows[2:]):
+        got = c.bracket(tuple(order))
+        oracle = det(Matrix([c.matrices[cam].rows[r] for cam, r in order]))
+        assert got == oracle
+        assert type(got) is type(oracle)
+
+
+def test_bracket_rejects_bad_rows():
+    c = BRACKET_CONFIGS["integer"]
+    for rows in [((0, 0), (1, 0), (2, 0)), ((0, 0), (1, 0), (2, 0), (3, 0)),
+                 ((0, 0), (1, 0), (2, 0), (0, 3)),
+                 ((0, 0), (1, 0), (2, 0), (-1, 0))]:
+        with pytest.raises(ValueError):
+            c.bracket(rows)
+
+
+def test_sigma_minor_rejects_bad_cameras():
+    c = BRACKET_CONFIGS["integer"]
+    for sigma in [(1, 4), (-1, 2), (0, 1), (1, 1), (2,), (1, 2, 3, 4)]:
+        with pytest.raises(ValueError):
+            sigma_minor(c, sigma, tuple(range(len(sigma) + 4)))
+    with pytest.raises(ValueError):
+        sigma_minor(c, (1, 3), tuple(range(6)), Ring(2))
+    for rows in [(0, 1, 2, 3, 4), (0, 1, 2, 3, 4, 6), (0, 0, 1, 2, 3, 4),
+                 (-1, 0, 1, 2, 3, 4)]:
+        with pytest.raises(ValueError):
+            sigma_minor(c, (1, 2), rows)
+
+
+def test_minors_are_pinned():
+    # digest of the minors as the Bareiss bracket code wrote them
+    configs = [random_config(random.Random(60 + n), n) for n in (2, 3, 4)]
+    configs += [collinear_cameras(3), collinear_cameras(4), toric_cameras(4)]
+    lines = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for c in configs:
+            lines += [format_polynomial(p) for p in multiview_generators(c)]
+            lines += [format_polynomial(p)
+                      for p in minimal_multiview_generators(c)]
+    assert len(lines) == 1820
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "7e9fc4651d6dd9d4a4c8572149631350698d7a259a3218666227af1e310b9ef2")
 
 
 def test_minor_counts_and_leading_monomials():

@@ -321,6 +321,44 @@ def test_chain_criterion_consistency():
     assert fast[0] == slow[0]
 
 
+def test_chain_criterion_skips_are_pinned(monkeypatch):
+    # per call: S-polynomials formed and pairs the chain criterion skipped,
+    # as counted on the seed-201 minors of the certify benchmark before the
+    # treated-pair keys changed
+    from mvgb import groebner
+    counts = [0, 0]
+    spoly, chain = groebner._spoly, groebner._chain_skips
+
+    def counting_spoly(*args):
+        counts[0] += 1
+        return spoly(*args)
+
+    def counting_chain(*args):
+        skip = chain(*args)
+        counts[1] += skip
+        return skip
+
+    monkeypatch.setattr(groebner, "_spoly", counting_spoly)
+    monkeypatch.setattr(groebner, "_chain_skips", counting_chain)
+    c = checks.random_generic_config(random.Random(201), 3)
+    ring = c.ring()
+    gens, small = multiview_generators(c), minimal_multiview_generators(c)
+    orders = [block_order(ring), permuted_block_lex_orders(ring)[100],
+              random_weight_orders(ring, 1, seed=201)[0]]
+    got = []
+    for order in orders:
+        for run in (lambda: is_groebner_basis(gens, order),
+                    lambda: is_groebner_basis(small, order),
+                    lambda: reduced_groebner_basis(ideal(ring, small), order),
+                    lambda: reduced_groebner_basis(ideal(ring, gens), order)):
+            counts[:] = [0, 0]
+            run()
+            got.append(tuple(counts))
+    assert got == [(53, 667), (1, 0), (8, 4), (41, 679),
+                   (53, 667), (1, 0), (9, 9), (41, 679),
+                   (53, 667), (1, 0), (9, 8), (41, 679)]
+
+
 def test_minimal_generation_three_cameras():
     rng = random.Random(10)
     c = random_config(rng, 3)
