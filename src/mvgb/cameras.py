@@ -7,9 +7,10 @@ from __future__ import annotations
 import itertools
 import warnings
 from fractions import Fraction
-from math import lcm
 
-from .exactalg import EpsRational, Matrix, det, eps, inverse, kernel, rank
+from .exactalg import (
+    EpsRational, Matrix, det, eps, integer_row, inverse, kernel, rank,
+)
 from .groebner import IdealPresentation, eliminate
 from .polyring import Polynomial, Ring, m_from_pairs
 
@@ -73,8 +74,7 @@ class CameraConfig:
                 if any(isinstance(e, EpsRational) for e in row):
                     scaled.append(([EpsRational(e) for e in row], 1))
                 else:
-                    d = lcm(*{e.denominator for e in row})
-                    scaled.append(([(e * d).numerator for e in row], d))
+                    scaled.append(integer_row(row))
         cols = tuple(itertools.combinations(range(4), 2))
         self._pairs = {
             (g, h): (tuple(u[a] * v[b] - u[b] * v[a] for a, b in cols),

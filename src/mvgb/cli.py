@@ -236,14 +236,19 @@ def cmd_hilb(args):
 
 def cmd_decompose(args):
     I = _monomial_ideal_of(load_ideal(args.file, args.n))
-    primes = mono.minimal_primes(I)
+    try:
+        primes = mono.minimal_primes(I)
+        borel = mono.is_borel_fixed(I)[0]
+        support = sorted(mono.multidegree_support(I).items())
+        fc = mono.stanley_reisner_complex(I) if args.complex else None
+    except ValueError as exc:
+        # not squarefree, or a w block
+        raise InputError(str(exc)) from None
     payload = {"schema_version": SCHEMA_VERSION,
                "primes": [sorted(I.ring.name(v) for v in p) for p in primes],
-               "borel_fixed": mono.is_borel_fixed(I)[0],
-               "multidegree": {",".join(map(str, k)): v for k, v in
-                               sorted(mono.multidegree_support(I).items())}}
+               "borel_fixed": borel,
+               "multidegree": {",".join(map(str, k)): v for k, v in support}}
     if args.complex:
-        fc = mono.stanley_reisner_complex(I)
         with open(args.complex, "w") as fh:
             json.dump(fc.as_json(), fh, indent=2, sort_keys=True)
         payload["complex"] = args.complex
@@ -459,6 +464,12 @@ def main(argv=None):
         return args.fn(args)
     except InputError as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # the input files are read into InputError, so this is an output
+        print("error: cannot write %s: %s"
+              % (exc.filename or "output", exc.strerror or exc),
+              file=sys.stderr)
         return 2
 
 

@@ -7,19 +7,25 @@ from fractions import Fraction
 from math import gcd, lcm
 
 __all__ = ["EpsRational", "Matrix", "det", "rank", "kernel", "inverse", "eps",
-           "content_scale"]
+           "integer_row", "primitive_row"]
 
 EPS_NAME = "e"
 
 
-def content_scale(coeffs, lead):
-    """The rational s that turns the rationals coeffs (not all zero) into
-    coprime integers, with s * lead > 0.  For reduced fractions the content
-    is the gcd of the numerators over the lcm of the denominators."""
-    coeffs = list(coeffs)
-    scale = Fraction(lcm(*{c.denominator for c in coeffs}),
-                     gcd(*{c.numerator for c in coeffs}))
-    return scale if lead > 0 else -scale
+def integer_row(values):
+    """(ints, d): the ints and Fractions in values, each times d, the lcm of
+    their denominators.  Every rational row becomes an integer row here."""
+    d = lcm(*{v.denominator for v in values})
+    return [v.numerator * (d // v.denominator) for v in values], d
+
+
+def primitive_row(ints):
+    """The int row divided by the gcd of its entries; a zero row, whose gcd
+    is 0, comes back as it is."""
+    g = gcd(*ints)
+    if g > 1:
+        return [v // g for v in ints]
+    return ints
 
 
 # ---------------------------------------------------------------------------
@@ -90,8 +96,7 @@ def _pgcd(a, b):
         return _ppositive(b)
     if not b:
         return _ppositive(a)
-    ca, cb = gcd(*a), gcd(*b)
-    fa, fb = [x // ca for x in a], [x // cb for x in b]
+    fa, fb = primitive_row(a), primitive_row(b)
     while fb:
         # fa <- the primitive part of a nonzero multiple of (fa mod fb)
         while fa and len(fa) >= len(fb):
@@ -103,11 +108,8 @@ def _pgcd(a, b):
                 fa[shift + j] -= t * y
             while fa and fa[-1] == 0:
                 fa.pop()
-        if fa:
-            c = gcd(*fa)
-            fa = [x // c for x in fa]
-        fa, fb = fb, fa
-    return _pmul(_ppositive(tuple(fa)), (gcd(ca, cb),))
+        fa, fb = fb, primitive_row(fa)
+    return _pmul(_ppositive(tuple(fa)), (gcd(*a, *b),))
 
 
 def _pord(a):
@@ -145,16 +147,14 @@ def _pstr(a):
 
 
 def _coeffs_of(v):
-    """Coerce v to (integer coefficient tuple, integer denominator)."""
+    """Coerce an int, a Fraction or a tuple or list of them to (integer
+    coefficient tuple, integer denominator)."""
     if isinstance(v, (int, Fraction)):
-        return (v.numerator,), v.denominator
-    if isinstance(v, (tuple, list)):
-        if all(isinstance(x, int) for x in v):
-            return tuple(v), 1
-        fr = [Fraction(x) for x in v]
-        den = lcm(*{x.denominator for x in fr})
-        return tuple(int(x * den) for x in fr), den
-    raise TypeError("cannot build a rational function from %r" % (v,))
+        v = (v,)
+    elif not isinstance(v, (tuple, list)):
+        raise TypeError("cannot build a rational function from %r" % (v,))
+    ints, den = integer_row(v)
+    return tuple(ints), den
 
 
 def _lowest(n, d):

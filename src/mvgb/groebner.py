@@ -9,9 +9,9 @@ import heapq
 import itertools
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
-from .exactalg import EpsRational, content_scale
+from .exactalg import EpsRational, integer_row, primitive_row
 from .monomial import (
     MonomialIdeal, multiview_hilbert_mismatch, standard_monomial_count,
 )
@@ -157,8 +157,7 @@ def _content_normalize(terms):
     """The primitive integer multiple of a polynomial over Q, with int
     coefficients.  Its sign is left as it comes: scaling a basis element by a
     nonzero constant changes no remainder, under any order."""
-    scale = content_scale(terms.values(), 1)
-    return {m: (c * scale).numerator for m, c in terms.items()}
+    return dict(zip(terms, primitive_row(integer_row(terms.values())[0])))
 
 
 def _primitive(polys):
@@ -361,10 +360,8 @@ def normal_forms(polys, basis, order=None):
         for p in polys:
             t = p.terms
             eps = eps_basis or _is_eps([t])
-            den = 1 if eps else lcm(*{c.denominator for c in t.values()})
-            r, scale = _nf_dict({pk.encode(m): c if eps else
-                                 c.numerator * (den // c.denominator)
-                                 for m, c in t.items()}, G, pk)
+            coeffs, den = (t.values(), 1) if eps else integer_row(t.values())
+            r, scale = _nf_dict(dict(zip(map(pk.encode, t), coeffs)), G, pk)
             out.append(Polynomial(p.ring, {
                 pk.decode(m): c if eps else Fraction(c, scale * den)
                 for m, c in r.items()}))

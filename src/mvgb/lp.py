@@ -9,25 +9,18 @@ rational simplex and the point read off at the end is the same."""
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
-__all__ = ["feasible_point", "primitive_row"]
+from .exactalg import integer_row, primitive_row
 
-
-def primitive_row(row):
-    """The int row divided by the gcd of its entries; a zero row, whose gcd
-    is 0, comes back as it is."""
-    g = gcd(*row)
-    if g > 1:
-        return [v // g for v in row]
-    return row
+__all__ = ["feasible_point"]
 
 
 def _phase_one(A, b, ncols):
     """Solve A x = b, x >= 0 by minimizing artificial variables.
 
-    A has ncols columns with int or Fraction entries.  Each row of [A | b]
-    is scaled once by the lcm of its denominators, negated when b < 0.
+    A is a list of rows, each a list of ncols int or Fraction entries.  Each
+    row of [A | b] is scaled once to ints, negated when b < 0.
     Returns x (ncols Fraction entries) or None when infeasible.  Bland's
     rule guarantees termination.
     """
@@ -38,10 +31,10 @@ def _phase_one(A, b, ncols):
     rows = []
     scales = []
     for i, (row, bi) in enumerate(zip(A, b)):
-        # unpack the distinct denominators (usually just 1), not the row
-        d = lcm(bi.denominator, *{v.denominator for v in row})
-        s = -d if bi < 0 else d
-        r = [(v * s).numerator for v in row] + [0] * m + [(bi * s).numerator]
+        r, d = integer_row(row + [bi])
+        if bi < 0:
+            r = [-v for v in r]
+        r[ncols:ncols] = [0] * m
         r[ncols + i] = d
         rows.append(r)
         scales.append(d)

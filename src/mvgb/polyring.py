@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm
 
-from .exactalg import EpsRational, content_scale, eps
+from .exactalg import EpsRational, eps, integer_row, primitive_row
 
 __all__ = [
     "Ring", "Polynomial", "WeightLexOrder", "LexOrder", "WeightOrder",
@@ -177,14 +176,6 @@ def m_squarefree(a):
 # ---------------------------------------------------------------------------
 # term orders
 
-def _integer_weights(row):
-    """The weight row times the lcm of its denominators.  A positive
-    multiple orders monomials the same way, and its keys are int sums."""
-    row = [Fraction(w) for w in row]
-    d = lcm(*{w.denominator for w in row})
-    return tuple((w * d).numerator for w in row)
-
-
 class WeightLexOrder:
     """Integer weight rows compared in turn, ties broken lexicographically
     along perm (largest variable first).  Every term order has this form
@@ -197,7 +188,9 @@ class WeightLexOrder:
         self.ring = ring
         self._cache = {}
         nvars = ring.nvars
-        self.rows = tuple(_integer_weights(row) for row in rows)
+        # a positive multiple of a row orders monomials the same way, and
+        # its keys are int sums
+        self.rows = tuple(tuple(integer_row(row)[0]) for row in rows)
         if any(len(row) != nvars for row in self.rows):
             raise ValueError("every weight row needs one entry per variable")
         if perm is None:
@@ -496,7 +489,10 @@ def canonical_string(p):
     lc, _ = p.leading_term(block_order(p.ring))
     if p.domain() == "Q(e)":
         return format_polynomial(p.map_coefficients(lambda c: c / lc))
-    return format_polynomial(p * content_scale(p.terms.values(), lc))
+    ints = primitive_row(integer_row(p.terms.values())[0])
+    if lc < 0:
+        ints = [-c for c in ints]
+    return format_polynomial(Polynomial(p.ring, dict(zip(p.terms, ints))))
 
 
 _EPS_TOKEN_RE = re.compile(r"\d+|[-+*/^()e]")

@@ -10,11 +10,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cameras import toric_cameras
-from .exactalg import Matrix, content_scale, kernel
+from .exactalg import Matrix, integer_row, kernel, primitive_row
 from .groebner import (
     IdealPresentation, ideal, minimal_generators, reduced_groebner_basis,
 )
-from .lp import feasible_point, primitive_row
+from .lp import feasible_point
 from .monomial import (
     MonomialIdeal, stanley_reisner_complex, symmetry_orbits,
 )
@@ -60,11 +60,7 @@ def cayley_matrix(n):
 
 def lattice_kernel_basis(matrix):
     """Primitive integer vectors spanning the rational kernel."""
-    basis = []
-    for v in kernel(matrix):
-        scale = content_scale(v, 1)
-        basis.append([int(x * scale) for x in v])
-    return basis
+    return [primitive_row(integer_row(v)[0]) for v in kernel(matrix)]
 
 
 def variable_kernel_rows(cm):

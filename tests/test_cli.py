@@ -125,6 +125,33 @@ def test_input_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("text", ["x1^2*y2\n", "x1*w2\n"])
+def test_decompose_outside_its_domain_exits_2(tmp_path, capsys, text):
+    # minimal primes need a squarefree ideal, the Borel test no w block
+    path = tmp_path / "m.txt"
+    path.write_text(text)
+    assert main(["decompose", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and not captured.out
+
+
+@pytest.mark.parametrize("argv", [
+    ["gb", "{m}", "--out", "{blocker}/x.json"],
+    ["hilbscheme", "census", "--n", "2", "--out", "{blocker}/census"],
+    ["decompose", "{m}", "--complex", "{blocker}/fc.json"],
+])
+def test_unwritable_output_exits_2(tmp_path, capsys, argv):
+    # a path under a plain file cannot be created
+    (tmp_path / "m.txt").write_text("x1*y2\n")
+    (tmp_path / "blocker").write_text("")
+    argv = [a.format(m=tmp_path / "m.txt", blocker=tmp_path / "blocker")
+            for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot write ")
+    assert str(tmp_path / "blocker") in captured.err and not captured.out
+
+
 @pytest.mark.parametrize("n", ["-3", "0"])
 def test_camera_count_below_one_exits_2(tmp_path, capsys, n):
     path = tmp_path / "m.txt"

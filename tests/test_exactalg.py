@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from math import gcd, lcm
@@ -6,9 +7,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mvgb.cameras import CameraConfig, multiview_generators
 from mvgb.exactalg import (
-    EpsRational, Matrix, _pdiv_exact, det, eps, inverse, kernel, rank,
+    EpsRational, Matrix, _pdiv_exact, det, eps, integer_row, inverse, kernel,
+    primitive_row, rank,
 )
+from mvgb.groebner import ideal, normal_forms, reduced_groebner_basis
+from mvgb.lp import feasible_point
+from mvgb.polyring import (
+    Ring, WeightOrder, canonical_string, format_polynomial, parse_polynomial,
+)
+from mvgb.toric import cayley_matrix, lattice_kernel_basis
 
 
 def cofactor_det(rows):
@@ -305,3 +314,88 @@ def test_normalization_matches_fraction_euclid(p, q):
     if b:
         assert ((a / b).num, (a / b).den) == _ref_lowest(
             _ref_times(num1, den2), _ref_times(den1, num2))
+
+
+_row_entries = st.one_of(
+    st.just(0), st.integers(-50, 50),
+    st.fractions(-50, 50, max_denominator=7),
+    st.fractions(max_denominator=10 ** 30))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_row_entries, max_size=8))
+@example([])
+@example([0, 0, 0])
+@example([Fraction(0), 0])
+@example([Fraction(-4, 6), 0, 2, Fraction(10, 9)])
+@example([Fraction(1, 10 ** 40 + 1), -Fraction(3, 10 ** 40 + 1)])
+def test_integer_row_matches_fraction_oracle(values):
+    ints, d = integer_row(values)
+    assert d == lcm(*(Fraction(v).denominator for v in values))
+    assert all(type(x) is int for x in ints)
+    assert [Fraction(x) for x in ints] == [Fraction(v) * d for v in values]
+    prim = primitive_row(ints)
+    g = gcd(*ints)
+    if g:
+        assert gcd(*prim) == 1 and [x * g for x in prim] == ints
+    else:
+        assert prim == ints  # the zero row comes back as it is
+    assert [(x > 0) - (x < 0) for x in prim] == [
+        (v > 0) - (v < 0) for v in values]
+
+
+def _rational_cameras(rng, n):
+    """Camera matrices whose entries have denominators up to 7."""
+    while True:
+        mats = [[[Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+                  for _ in range(4)] for _ in range(3)] for _ in range(n)]
+        try:
+            return CameraConfig(mats)
+        except ValueError:
+            continue
+
+
+def test_rational_to_integer_sites_are_pinned():
+    # digest of every place that turns a rational row into an integer row,
+    # on non-integer input, as the code wrote it before those places shared
+    # integer_row and primitive_row
+    lines = []
+    for n in (2, 3):
+        config = _rational_cameras(random.Random(70 + n), n)
+        gens = multiview_generators(config)
+        lines += [canonical_string(p) for p in gens]
+    ring = Ring(3)  # gens are the three-camera minors
+    rng = random.Random(75)
+    polys = [parse_polynomial(ring, s) for s in (
+        "1/2*x1^2*y2 - 3/7*x2*z3 + 5/3", "-2/9*x1*y2*z3 + 4/5*y1^3",
+        "7/4*z1*z2*z3 - 1/6*x3^2 + 11/8*y2")]
+    polys += [gens[i] * Fraction(1, 2 + i) + gens[i + 1] * Fraction(-3, 5)
+              for i in range(0, 12, 3)]
+    for _ in range(3):
+        weights = [Fraction(rng.randint(1, 30), rng.randint(1, 9))
+                   for _ in range(ring.nvars)]
+        order = WeightOrder(ring, weights)
+        basis = reduced_groebner_basis(ideal(ring, gens), order)
+        lines += [format_polynomial(p) for p in basis]
+        lines += [format_polynomial(p)
+                  for p in normal_forms(polys, basis, order)]
+    for n in (3, 4):
+        lines += [repr(v)
+                  for v in lattice_kernel_basis(cayley_matrix(n).matrix)]
+    for _ in range(40):
+        dim = rng.randint(2, 4)
+        rows = [[Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+                 for _ in range(dim)] for _ in range(rng.randint(1, 4))]
+        cut = rng.randint(0, len(rows) - 1)
+        lines.append(repr(feasible_point(rows[:cut], rows[cut:], dim)))
+    for _ in range(40):
+        num = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                    for _ in range(rng.randint(1, 3)))
+        den = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                    for _ in range(rng.randint(1, 3)))
+        if any(den):
+            lines.append(repr(EpsRational(num, den)))
+    text = "\n".join(lines)
+    assert len(lines) == 165
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "459c7ffa5097d0e90882044f5765d756db54b4e9ba274cc96ccf66a842667d13")
