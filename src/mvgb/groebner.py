@@ -238,9 +238,10 @@ def _chain_skips(lmes, i, j, L, done, eguard):
 
 
 def _buchberger(pk, polys):
-    """Buchberger's algorithm on term dicts; returns the reduced basis."""
+    """Buchberger's algorithm on term dicts from _primitive; returns the
+    reduced basis."""
     eps = _is_eps(polys)
-    G = pk.elements(_primitive(polys))
+    G = pk.elements(polys)
     G.sort(key=pk.by_degree)
     lmes = [g[_LM] & pk.emask for g in G]
     pairs = []
@@ -294,7 +295,7 @@ def _reduce_basis(G, pk):
 class IdealPresentation:
     """An ideal given by generators, with cached reduced bases per order."""
 
-    __slots__ = ("ring", "generators", "_gb")
+    __slots__ = ("ring", "generators", "_gb", "_terms")
 
     def __init__(self, ring, generators):
         gens = []
@@ -309,14 +310,18 @@ class IdealPresentation:
         self.ring = ring
         self.generators = tuple(gens)
         self._gb = {}
+        self._terms = None
 
     def reduced_basis(self, order=None):
         order = order or block_order(self.ring)
         sig = order.signature
         got = self._gb.get(sig)
         if got is None:
+            # the generators are normalized once, for every order
+            if self._terms is None:
+                self._terms = _primitive([p.terms for p in self.generators])
             got = tuple(Polynomial(self.ring, t) for t in _packed(
-                order, [p.terms for p in self.generators], _buchberger))
+                order, self._terms, _buchberger))
             self._gb[sig] = got
         return got
 

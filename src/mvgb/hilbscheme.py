@@ -7,13 +7,13 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
 
 from .monomial import (
     MonomialIdeal, generic_initial_ideal, ideal_key, ideal_lines,
     multiview_hilbert_mismatch, standard_profiles, symmetry_orbits,
 )
-from .polyring import Ring, m_from_pairs
+from .polyring import Ring
 from .tangent import tangent_dimension
 
 __all__ = [
@@ -22,121 +22,97 @@ __all__ = [
 ]
 
 
-def _census_tables(n):
-    ring = Ring(n)
-    nv = 3 * n
-    blocks = ring.blocks()
-    supports = list(range(1 << nv))
-    profile_of = []
-    for S in supports:
-        profile_of.append(tuple(
-            sum(1 for v in b if S >> v & 1) for b in blocks))
+def _census_psi(ring):
+    """Per profile of a squarefree support (its count of variables in each
+    block), how many supports of that profile lie in the ideal."""
     # the closed form's counts of standard support patterns per profile
     # are those of any squarefree ideal that has it on the box, such as M_n
-    generic = generic_initial_ideal(n)
+    generic = generic_initial_ideal(ring.n)
     if multiview_hilbert_mismatch(generic) is not None:
         raise AssertionError("generic initial ideal misses the closed form")
     phi = standard_profiles(generic)
     psi = {}
-    for k in set(profile_of):
-        total = 1
-        for ki in k:
-            total *= comb(3, ki)
-        psi[k] = total - phi[k]
+    for k in itertools.product(range(4), repeat=ring.n):
+        psi[k] = prod(comb(3, ki) for ki in k) - phi[k]
         if psi[k] < 0:
             raise AssertionError("negative deficit; closed form inconsistent")
-    by_level = {}
-    for S in supports:
-        lvl = bin(S).count("1")
-        if lvl == 0:
-            continue
-        by_level.setdefault(lvl, {}).setdefault(profile_of[S], []).append(S)
-    supersets = [0] * (1 << nv)
-    for S in supports:
-        acc = 0
-        rest = ((1 << nv) - 1) & ~S
+    return psi
+
+
+def _groups(blocks, psi):
+    """(groups, supersets) for _search.  One group per profile of a nonempty
+    support, in level order: its supports, the bits of its supports, its
+    count psi, and the (bits, psi) of every other profile componentwise
+    above it, which alone receive supersets of its supports."""
+    nv = sum(len(b) for b in blocks)
+    block_masks = [sum(1 << v for v in b) for b in blocks]
+    masks = {}
+    for S in range(1, 1 << nv):
+        k = tuple((S & bm).bit_count() for bm in block_masks)
+        masks.setdefault(k, []).append(S)
+    bits = {k: sum(1 << S for S in ms) for k, ms in masks.items()}
+    groups = []
+    for k in sorted(masks, key=lambda k: (sum(k), k)):
+        above = [(bits[h], psi[h]) for h in masks
+                 if h != k and all(a >= b for a, b in zip(h, k))]
+        groups.append((masks[k], bits[k], psi[k], above))
+    full = (1 << nv) - 1
+    supersets = []
+    for S in range(1 << nv):
+        acc, rest = 0, full & ~S
         sub = rest
         while True:
             acc |= 1 << (S | sub)
             if sub == 0:
                 break
             sub = (sub - 1) & rest
-        supersets[S] = acc
-    profile_bits = {}
-    for S in supports:
-        profile_bits.setdefault(profile_of[S], 0)
-        profile_bits[profile_of[S]] |= 1 << S
-    return ring, psi, by_level, supersets, profile_bits
+        supersets.append(acc)
+    return groups, supersets
+
+
+def _search(groups, supersets):
+    """Every tuple of generator supports whose up-set holds psi supports of
+    each group's profile.  Only a group whose count is still short picks
+    supports; after each pick, the profiles above it must stay within
+    their counts."""
+    results = []
+
+    def walk(first, forced, chosen):
+        for g in range(first, len(groups)):
+            masks, bits, psi, above = groups[g]
+            need = psi - (forced & bits).bit_count()
+            if need:
+                free = [S for S in masks if not forced >> S & 1]
+                pick(g + 1, free, 0, need, above, forced, chosen)
+                return
+        results.append(chosen)
+
+    def pick(g, free, start, need, above, forced, chosen):
+        for i in range(start, len(free) - need + 1):
+            S = free[i]
+            f = forced | supersets[S]
+            if all((f & bits).bit_count() <= cap for bits, cap in above):
+                if need == 1:
+                    walk(g, f, chosen + (S,))
+                else:
+                    pick(g, free, i + 1, need - 1, above, f, chosen + (S,))
+
+    walk(0, 0, ())
+    return results
 
 
 def monomial_ideal_census(n):
     """All squarefree-generated monomial ideals with the closed-form Hilbert
-    function, by levelwise constrained search over generator supports."""
+    function, by a search over generator supports that branches only where
+    a profile's count is still short."""
     if n not in (2, 3):
         raise ValueError("census implemented for n = 2 and n = 3")
-    ring, psi, by_level, supersets, profile_bits = _census_tables(n)
-    nv = 3 * n
-    levels = []
-    for lvl in range(1, nv + 1):
-        groups = sorted(by_level.get(lvl, {}).items())
-        levels.append([(k, masks) for k, masks in groups])
-    higher_profiles = []
-    for li in range(len(levels)):
-        later = []
-        for lj in range(li + 1, len(levels)):
-            for k, _ in levels[lj]:
-                later.append((profile_bits[k], psi[k]))
-        higher_profiles.append(later)
-    results = []
-    chosen = []
-    forced = 0
-
-    def feasible(level_idx):
-        for bits, cap in higher_profiles[level_idx]:
-            if (forced & bits).bit_count() > cap:
-                return False
-        return True
-
-    def choose_groups(level_idx, groups):
-        nonlocal forced
-        if not groups:
-            if level_idx + 1 == len(levels):
-                results.append(tuple(chosen))
-            else:
-                process_level(level_idx + 1)
-            return
-        (profile, masks), rest = groups[0], groups[1:]
-        free = [S for S in masks if not (forced >> S) & 1]
-        need = psi[profile] - (len(masks) - len(free))
-        if need < 0 or need > len(free):
-            return
-        for combo in itertools.combinations(free, need):
-            deltas = []
-            ok = True
-            for S in combo:
-                delta = supersets[S] & ~forced
-                forced |= delta
-                deltas.append(delta)
-                chosen.append(S)
-            if need and not feasible(level_idx):
-                ok = False
-            if ok:
-                choose_groups(level_idx, rest)
-            for S, delta in zip(reversed(combo), reversed(deltas)):
-                forced ^= delta
-                chosen.pop()
-
-    def process_level(level_idx):
-        choose_groups(level_idx, levels[level_idx])
-
-    process_level(0)
-    ideals = []
-    for gens in results:
-        monos = []
-        for S in gens:
-            monos.append(m_from_pairs([(v, 1) for v in range(nv)
-                                       if S >> v & 1]))
-        ideals.append(MonomialIdeal(ring, monos))
+    ring = Ring(n)
+    nv = ring.nvars
+    monos = [tuple((v, 1) for v in range(nv) if S >> v & 1)
+             for S in range(1 << nv)]
+    ideals = [MonomialIdeal(ring, [monos[S] for S in gens])
+              for gens in _search(*_groups(ring.blocks(), _census_psi(ring)))]
     ideals.sort(key=ideal_key)
     return ideals
 

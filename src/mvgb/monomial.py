@@ -11,7 +11,7 @@ from math import comb, prod
 
 from .polyring import (
     Polynomial, Ring, format_monomial, m_deg, m_div, m_divides, m_exp,
-    m_from_pairs, m_lcm, m_mul, m_one, m_squarefree, m_var, block_order,
+    m_from_pairs, m_lcm, m_mul, m_one, m_squarefree, m_var,
 )
 
 __all__ = [
@@ -26,10 +26,15 @@ __all__ = [
 
 
 def _sort_key(ring):
-    order = block_order(ring)
+    """Degree first, then the block order's key (the dense exponent vector)
+    negated."""
+    nvars = ring.nvars
 
     def key(m):
-        return (m_deg(m),) + tuple(-e for e in order.key(m))
+        out = [0] * nvars
+        for v, e in m:
+            out[v] = -e
+        return (m_deg(m),) + tuple(out)
 
     return key
 

@@ -138,7 +138,8 @@ def _node_from_basis(ring, gb, order):
     for g in gb:
         _, lm = g.leading_term(order)
         marked.append((g, lm))
-    marked.sort(key=lambda t: block_order(ring).key(t[1]))
+    key = block_order(ring).key
+    marked.sort(key=lambda t: key(t[1]))
     init = MonomialIdeal(ring, [lm for _, lm in marked])
     return GFanNode(tuple(marked), init)
 
@@ -179,6 +180,8 @@ def enumerate_initial_ideals(I, kernel_rows=None, node_cap=None):
             y0 = feasible_point([list(cj)], others, dim)
             if y0 is None:
                 continue
+            # a positive multiple of y0 gives a positive multiple of w0
+            y0 = integer_row(y0)[0]
             if kernel_rows is None:
                 w0 = y0
                 wneg = [-x for x in cj]

@@ -1,9 +1,13 @@
 import hashlib
+import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvgb.hilbscheme import (
-    census, census_hash, has_multiview_hilbert_function, monomial_ideal_census,
+    _groups, _search, census, census_hash, has_multiview_hilbert_function,
+    monomial_ideal_census,
 )
 from mvgb.monomial import (
     MonomialIdeal, collinear_initial_ideal, generic_initial_ideal,
@@ -87,3 +91,66 @@ def test_box_counts_determine_larger_multidegrees(census3):
             u = tuple(rng.randint(0, 6) for _ in range(3))
             assert standard_monomial_count(I, u) == \
                 multiview_hilbert_function(3, u)
+
+
+# 2 or 3 blocks with at most 5 variables in total
+BLOCK_SIZES = [s for r in (2, 3) for s in itertools.product((1, 2, 3), repeat=r)
+               if sum(s) <= 5]
+
+
+def _up_set(gens, nv):
+    """Bitmask, over all supports, of the supersets of the generators."""
+    return sum(1 << T for T in range(1 << nv)
+               if any(T & S == S for S in gens))
+
+
+def _brute_up_sets(profile, psi, nv):
+    """Every up-set of nonempty supports holding psi[k] supports of each
+    profile k.  Supports are decided from the top level down, and one may
+    join only when all its supersets are already in."""
+    order = sorted(profile, key=lambda S: -S.bit_count())
+    # supports of the same profile that come after each one
+    left = [sum(profile[T] == profile[S] for T in order[i + 1:])
+            for i, S in enumerate(order)]
+    found = set()
+
+    def rec(i, upset, counts):
+        if i == len(order):
+            found.add(upset)
+            return
+        S = order[i]
+        k = profile[S]
+        if counts[k] < psi[k] and all(
+                upset >> T & 1 for T in range(S + 1, 1 << nv)
+                if T & S == S):
+            rec(i + 1, upset | 1 << S, {**counts, k: counts[k] + 1})
+        if counts[k] + left[i] >= psi[k]:
+            rec(i + 1, upset, counts)
+
+    rec(0, 0, dict.fromkeys(psi, 0))
+    return found
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(BLOCK_SIZES), st.data())
+def test_search_matches_brute_force_up_sets(sizes, data):
+    nv = sum(sizes)
+    perm = data.draw(st.permutations(range(nv)))
+    starts = list(itertools.accumulate(sizes, initial=0))
+    blocks = [sorted(perm[a:b]) for a, b in zip(starts, starts[1:])]
+    gens = data.draw(st.lists(st.integers(1, (1 << nv) - 1), max_size=4))
+    profile = {S: tuple(sum(S >> v & 1 for v in b) for b in blocks)
+               for S in range(1, 1 << nv)}
+    # the counts of a drawn up-set, so at least that one has them
+    target = _up_set(gens, nv)
+    psi = dict.fromkeys(profile.values(), 0)
+    for S in profile:
+        psi[profile[S]] += target >> S & 1
+    answers = _search(*_groups(blocks, psi))
+    for chosen in answers:
+        assert not any(S != T and S & T == S
+                       for S in chosen for T in chosen)
+    upsets = [_up_set(chosen, nv) for chosen in answers]
+    assert len(set(upsets)) == len(upsets)
+    assert set(upsets) == _brute_up_sets(profile, psi, nv)
+    assert target in set(upsets)
