@@ -6,13 +6,15 @@ with dual graphs."""
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .cameras import toric_cameras
 from .exactalg import Matrix, integer_row, kernel, primitive_row
 from .groebner import (
-    IdealPresentation, ideal, minimal_generators, reduced_groebner_basis,
+    IdealPresentation, _as_ideal, ideal, minimal_generators,
+    reduced_groebner_basis,
 )
 from .lp import feasible_point
 from .monomial import (
@@ -148,21 +150,40 @@ def _node_key(node):
     return node.initial.gens
 
 
+def _pair_sums(candidates):
+    """The candidates c_j equal to primitive(c_i + c_k) for two others.  No
+    such c_j is a facet: where c_i . y >= 1 and c_k . y >= 1,
+    c_j . y >= 2/g > 0 (g the gcd divided out), so its facet LP has no
+    point."""
+    members = set(candidates)
+    found = set()
+    for ci, ck in itertools.combinations(candidates, 2):
+        s = tuple(primitive_row([a + b for a, b in zip(ci, ck)]))
+        if s in members:
+            found.add(s)
+    return found
+
+
 def enumerate_initial_ideals(I, kernel_rows=None, node_cap=None):
     """All initial monomial ideals of a homogeneous ideal, by breadth-first
     flip traversal of the Groebner fan.
 
-    kernel_rows, when given, is an integer basis of the space spanned by the
-    exponent differences (the facet LPs then run in that dimension).  With
-    node_cap set, visiting more nodes raises RuntimeError.
+    Each edge of the fan is flipped once: a flip from A across c records
+    -c at its target, whose expansion skips it, since that flip leads back
+    to A.  Candidates that are the primitive sum of two others are ruled out
+    with no LP.  kernel_rows, when given, is an integer basis of the space
+    spanned by the exponent differences (the facet LPs then run in that
+    dimension).  With node_cap set, visiting more nodes raises RuntimeError.
     """
-    I = I if isinstance(I, IdealPresentation) else ideal(I[0].ring, I)
+    I = _as_ideal(I)
     ring = I.ring
     dim = len(kernel_rows) if kernel_rows is not None else ring.nvars
     start_order = block_order(ring)
     ones = [1] * ring.nvars
 
-    def expand(node):
+    def expand(node, known):
+        """(c, neighbour) for every facet inequality c of the node's cone
+        not in known, in the sorted order of the candidates."""
         vecs = {}
         for g, lm in node.basis:
             for m in g.terms:
@@ -174,8 +195,11 @@ def enumerate_initial_ideals(I, kernel_rows=None, node_cap=None):
                         "kernel rows do not span the exponent differences")
                 vecs[c] = True
         uniq = sorted(vecs)
+        sums = _pair_sums(uniq)
         neighbors = []
-        for j, cj in enumerate(uniq):
+        for cj in uniq:
+            if cj in known or cj in sums:
+                continue
             others = [list(c) for c in uniq if c != cj]
             y0 = feasible_point([list(cj)], others, dim)
             if y0 is None:
@@ -192,16 +216,20 @@ def enumerate_initial_ideals(I, kernel_rows=None, node_cap=None):
                         for k in range(ring.nvars)]
             order = MatrixOrder(ring, [ones, w0, wneg])
             gb = I.reduced_basis(order)
-            neighbors.append(_node_from_basis(ring, gb, order))
+            neighbors.append((cj, _node_from_basis(ring, gb, order)))
         return neighbors
 
     first = _node_from_basis(ring, I.reduced_basis(start_order), start_order)
     seen = {_node_key(first): first}
-    queue = [first]
+    # per node key, the facet inequalities whose flip is already made the
+    # other way round
+    flipped = {}
+    queue = deque([first])
     while queue:
-        node = queue.pop(0)
-        for nb in expand(node):
+        node = queue.popleft()
+        for c, nb in expand(node, flipped.pop(_node_key(node), ())):
             k = _node_key(nb)
+            flipped.setdefault(k, set()).add(tuple(-x for x in c))
             if k not in seen:
                 if node_cap is not None and len(seen) >= node_cap:
                     raise RuntimeError("fan traversal exceeded the node cap")

@@ -1,16 +1,25 @@
+import hashlib
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mvgb import toric
 
 from mvgb.cameras import multiview_ideal
 from mvgb.checks import random_generic_config
-from mvgb.exactalg import Matrix, rank
+from mvgb.exactalg import Matrix, primitive_row, rank
 from mvgb.groebner import (
-    ideal, ideal_equal, intersect, reduced_groebner_basis,
+    IdealPresentation, ideal, ideal_equal, intersect, reduced_groebner_basis,
 )
+from mvgb.lp import feasible_point
 from mvgb.monomial import MonomialIdeal
-from mvgb.polyring import Ring, parse_polynomial
+from mvgb.polyring import (
+    Ring, format_monomial, format_polynomial, parse_polynomial,
+)
 from mvgb.toric import (
     CayleyMatrix, cayley_matrix, class_invariant_table,
     enumerate_initial_ideals, lattice_kernel_basis, mixed_subdivision,
@@ -131,9 +140,102 @@ def test_fan_of_three_camera_toric_ideal():
 def test_node_cap():
     cm3 = cayley_matrix(3)
     I3 = toric_ideal(cm3)
-    with pytest.raises(RuntimeError):
-        enumerate_initial_ideals(I3, kernel_rows=variable_kernel_rows(cm3),
-                                 node_cap=5)
+    rows = variable_kernel_rows(cm3)
+    assert len(enumerate_initial_ideals(I3, kernel_rows=rows,
+                                        node_cap=20)) == 20
+    for cap in (5, 19):
+        with pytest.raises(RuntimeError):
+            enumerate_initial_ideals(I3, kernel_rows=rows, node_cap=cap)
+
+
+def test_empty_generator_list_needs_a_ring():
+    with pytest.raises(ValueError,
+                       match="empty generator list needs an explicit ring"):
+        enumerate_initial_ideals([])
+
+
+def _fan_digest(nodes):
+    """SHA-256 over every node in the returned order: its initial ideal's
+    generators, then each marked basis element and its marked monomial."""
+    h = hashlib.sha256()
+    for nd in nodes:
+        ring = nd.initial.ring
+        h.update((" ".join(format_monomial(ring, m) for m in nd.initial.gens)
+                  + "\n").encode())
+        for g, lm in nd.basis:
+            h.update(("%s | %s\n" % (format_polynomial(g),
+                                      format_monomial(ring, lm))).encode())
+    return h.hexdigest()
+
+
+def _toric3_input():
+    cm3 = cayley_matrix(3)
+    return toric_ideal(cm3), variable_kernel_rows(cm3)
+
+
+def _pair7_input():
+    return multiview_ideal(random_generic_config(random.Random(7), 2)), None
+
+
+def test_fan_nodes_and_marked_bases_are_pinned():
+    I, rows = _toric3_input()
+    assert _fan_digest(enumerate_initial_ideals(I, kernel_rows=rows)) == (
+        "304ee92349bed987dbc3d3845c0de5cf2799f00ed7d418ede66153326df55be1")
+    I, rows = _pair7_input()
+    assert _fan_digest(enumerate_initial_ideals(I, kernel_rows=rows)) == (
+        "995c859a4b59870fc1c9d333b29c8907af3fc0999d6cfed2556dc68a2ba8e13f")
+
+
+@pytest.mark.parametrize("fan_input, bases, both_ways_lps", [
+    (_toric3_input, 31, 98),   # 30 edges
+    (_pair7_input, 19, 72),    # 18 edges: the normal fan of two triangles
+])
+def test_fan_traversal_flips_each_edge_once(monkeypatch, fan_input, bases,
+                                            both_ways_lps):
+    I, rows = fan_input()
+    counts = {"bases": 0, "lps": 0}
+    reduced_basis = IdealPresentation.reduced_basis
+
+    def counted_basis(self, *args, **kwargs):
+        counts["bases"] += 1
+        return reduced_basis(self, *args, **kwargs)
+
+    def counted_lp(*args):
+        counts["lps"] += 1
+        return feasible_point(*args)
+
+    monkeypatch.setattr(IdealPresentation, "reduced_basis", counted_basis)
+    monkeypatch.setattr(toric, "feasible_point", counted_lp)
+    enumerate_initial_ideals(I, kernel_rows=rows)
+    # one basis per edge plus the start; a traversal that flips every edge
+    # both ways and runs an LP per candidate makes both_ways_lps LPs
+    assert counts["bases"] == bases
+    assert counts["lps"] < both_ways_lps
+
+
+@st.composite
+def _vectors_with_a_pair_sum(draw):
+    dim = draw(st.integers(2, 5))
+    vec = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim).filter(
+        any).map(lambda v: tuple(primitive_row(v)))
+    vs = draw(st.lists(vec, min_size=2, max_size=6, unique=True))
+    s = [a + b for a, b in zip(vs[0], vs[1])]
+    if any(s) and tuple(primitive_row(s)) not in vs:
+        vs.append(tuple(primitive_row(s)))
+    return dim, vs
+
+
+@settings(max_examples=60, deadline=None)
+@given(_vectors_with_a_pair_sum())
+def test_pair_sum_candidate_has_no_facet_point(case):
+    dim, vs = case
+    sums = {tuple(primitive_row([a + b for a, b in zip(ci, ck)]))
+            for ci, ck in itertools.combinations(vs, 2)
+            if any(a + b for a, b in zip(ci, ck))}
+    assert toric._pair_sums(vs) == sums & set(vs)
+    for cj in sums & set(vs):
+        others = [list(c) for c in vs if c != cj]
+        assert feasible_point([list(cj)], others, dim) is None
 
 
 def test_quadrics_intersection_identity():
