@@ -51,10 +51,10 @@ def criterion_1_generic_initial_ideal(n_max=None):
     rng = random.Random(101)
     details = {}
     ok = True
-    for n in _span((2, 3, 4), n_max):
+    for n in _span((2, 3, 4, 5, 6), n_max):
         expected = mono.generic_initial_ideal(n)
         times = []
-        for trial in range(3):
+        for trial in range(1 if n == 6 else 3):
             cfg = random_generic_config(rng, n)
             t1 = time.time()
             init = gb.initial_ideal(cam.multiview_ideal(cfg))

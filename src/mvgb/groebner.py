@@ -167,10 +167,12 @@ def _primitive(polys):
     return [t if eps else _content_normalize(t) for t in polys if t]
 
 
-def _nf_dict(p, G, pk):
+def _nf_dict(p, G, pk, head=False):
     """Full normal form (r, scale) of the packed dict p against elements G:
     the remainder is r / scale.  Over Q the scale is the product of the
-    factors a by which the reduction multiplied p; over Q(e) it stays 1."""
+    factors a by which the reduction multiplied p; over Q(e) it stays 1.
+    With head set the reduction stops at the first monomial that no leading
+    monomial of G divides, and r is scale times what is left of p."""
     guard, D = pk.guard, pk.D
     p = dict(p)
     out = []
@@ -197,6 +199,9 @@ def _nf_dict(p, G, pk):
                     p.pop(mm, None)
             break
         else:
+            if head:
+                p[m] = c
+                return p, scale
             out.append((m, c, scale))
     if scale == 1:
         return {m: c for m, c, _ in out}, scale
@@ -237,12 +242,35 @@ def _chain_skips(lmes, i, j, L, done, eguard):
     return False
 
 
-def _buchberger(pk, polys):
-    """Buchberger's algorithm on term dicts from _primitive; returns the
-    reduced basis."""
+def _element_terms(g, pk):
+    """The packed term dict of the basis element g."""
+    return {g[_LM]: g[1], **{m + pk.off: c for m, c in g[2]}}
+
+
+def _interreduce(pk, polys):
+    """The elements of the term dicts from _primitive after one pass by
+    degree (Gebauer-Moeller, JSC 1988): an input whose leading monomial a
+    kept element's divides is head-reduced against the kept elements, and
+    kept only if something is left.  The kept set generates the same ideal;
+    it comes sorted by pk.by_degree."""
     eps = _is_eps(polys)
-    G = pk.elements(polys)
+    G = []
+    for g in sorted(pk.elements(polys), key=pk.by_degree):
+        if any(not (g[_LM] - h[0]) & pk.guard for h in G):
+            r, _ = _nf_dict(_element_terms(g, pk), G, pk, head=True)
+            if not r:
+                continue
+            g = pk.element(r if eps else _content_normalize(r))
+        G.append(g)
     G.sort(key=pk.by_degree)
+    return G
+
+
+def _buchberger(pk, polys):
+    """Buchberger's algorithm on term dicts from _primitive, started from
+    the interreduced input; returns the reduced basis, which is unique."""
+    eps = _is_eps(polys)
+    G = _interreduce(pk, polys)
     lmes = [g[_LM] & pk.emask for g in G]
     pairs = []
     # every pair of current elements is on the heap until it is popped, so
@@ -313,6 +341,9 @@ class IdealPresentation:
         self._terms = None
 
     def reduced_basis(self, order=None):
+        """The reduced basis under the order (default: the block order),
+        monic and sorted by leading monomial.  Each element's term dict
+        lists its leading monomial first."""
         order = order or block_order(self.ring)
         sig = order.signature
         got = self._gb.get(sig)
@@ -385,7 +416,7 @@ def initial_ideal(I, order=None):
     I = _as_ideal(I)
     order = order or block_order(I.ring)
     gb = I.reduced_basis(order)
-    return MonomialIdeal(I.ring, [g.leading_term(order)[1] for g in gb])
+    return MonomialIdeal(I.ring, [next(iter(g.terms)) for g in gb])
 
 
 def ideal_equal(I, J):

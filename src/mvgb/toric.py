@@ -135,11 +135,9 @@ def _pair_coords(kernel_rows, mono_hi, mono_lo, nvars):
     return tuple(primitive_row(dense))
 
 
-def _node_from_basis(ring, gb, order):
-    marked = []
-    for g in gb:
-        _, lm = g.leading_term(order)
-        marked.append((g, lm))
+def _node_from_basis(ring, gb):
+    # a reduced basis lists each element's leading monomial first
+    marked = [(g, next(iter(g.terms))) for g in gb]
     key = block_order(ring).key
     marked.sort(key=lambda t: key(t[1]))
     init = MonomialIdeal(ring, [lm for _, lm in marked])
@@ -214,12 +212,11 @@ def enumerate_initial_ideals(I, kernel_rows=None, node_cap=None):
                       for k in range(ring.nvars)]
                 wneg = [-sum(kernel_rows[r][k] * cj[r] for r in range(dim))
                         for k in range(ring.nvars)]
-            order = MatrixOrder(ring, [ones, w0, wneg])
-            gb = I.reduced_basis(order)
-            neighbors.append((cj, _node_from_basis(ring, gb, order)))
+            gb = I.reduced_basis(MatrixOrder(ring, [ones, w0, wneg]))
+            neighbors.append((cj, _node_from_basis(ring, gb)))
         return neighbors
 
-    first = _node_from_basis(ring, I.reduced_basis(start_order), start_order)
+    first = _node_from_basis(ring, I.reduced_basis(start_order))
     seen = {_node_key(first): first}
     # per node key, the facet inequalities whose flip is already made the
     # other way round

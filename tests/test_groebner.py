@@ -13,7 +13,8 @@ from mvgb.cameras import (
     multiview_generators, multiview_ideal,
 )
 from mvgb.groebner import (
-    _Overflow, _Packer, _buchberger, cone_certificates, eliminate,
+    _Overflow, _Packer, _buchberger, _interreduce, _packed, _primitive,
+    cone_certificates, eliminate,
     hilbert_value, ideal, ideal_equal, initial_ideal, intersect,
     is_groebner_basis, letter_rankings, minimal_generators, normal_form,
     permuted_block_lex_orders, random_weight_orders, reduced_groebner_basis,
@@ -324,7 +325,8 @@ def test_chain_criterion_consistency():
 def test_chain_criterion_skips_are_pinned(monkeypatch):
     # per call: S-polynomials formed and pairs the chain criterion skipped,
     # as counted on the seed-201 minors of the certify benchmark before the
-    # treated-pair keys changed
+    # treated-pair keys changed; a reduced basis starts from the
+    # interreduced input, which keeps 4 of the 4 generators and 6 of the 39
     from mvgb import groebner
     counts = [0, 0]
     spoly, chain = groebner._spoly, groebner._chain_skips
@@ -354,9 +356,7 @@ def test_chain_criterion_skips_are_pinned(monkeypatch):
             counts[:] = [0, 0]
             run()
             got.append(tuple(counts))
-    assert got == [(53, 667), (1, 0), (8, 4), (41, 679),
-                   (53, 667), (1, 0), (9, 9), (41, 679),
-                   (53, 667), (1, 0), (9, 8), (41, 679)]
+    assert got == [(53, 667), (1, 0), (8, 4), (8, 4)] * 3
 
 
 def test_minimal_generation_three_cameras():
@@ -639,3 +639,74 @@ def test_normal_form_takes_a_basis_iterator():
                                            P(R3, "x1*y1 - z1")]))
     p = P(R3, "x1^3 + y1^2")
     assert normal_form(p, iter(gb)) == normal_form(p, gb) != p
+
+
+# ---------------------------------------------------------------------------
+# interreduced input
+
+def _kept(gens, order):
+    return len(_packed(order, _primitive([g.terms for g in gens]),
+                       _interreduce))
+
+
+@pytest.mark.parametrize("n,total,kept", [(3, 39, 6), (4, 609, 19)])
+def test_interreduction_keeps_few_minors(n, total, kept):
+    # the seed-201 minors: the pass keeps as many inputs as the reduced
+    # basis has elements
+    c = checks.random_generic_config(random.Random(201), n)
+    gens = multiview_generators(c)
+    assert len(gens) == total
+    assert _kept(gens, block_order(c.ring())) == kept
+    assert len(reduced_groebner_basis(ideal(c.ring(), gens))) == kept
+
+
+def test_interreduction_over_q_eps():
+    # the collinear family is its own basis; a Q(e) multiple, a sum and a
+    # monomial multiple of its elements head-reduce to nothing
+    gens = collinear_family_generators(3)
+    order = block_order(R3)
+    ref = reduced_groebner_basis(ideal(R3, gens), order)
+    assert _kept(gens, order) == len(gens) == len(ref) == 6
+    e = EpsRational((0, 1))
+    extra = [gens[4] * e, gens[0] + gens[3] * (1 - e),
+             gens[1] * P(R3, "z2")]
+    assert _kept(gens + extra, order) == 6
+    got = reduced_groebner_basis(ideal(R3, extra + gens), order)
+    assert [list(g.terms.items()) for g in got] == [
+        list(g.terms.items()) for g in ref]
+
+
+def _redundant(data, gens):
+    """Duplicates, scalar multiples, monomial multiples and sums of the
+    generators."""
+    pick = st.sampled_from(gens)
+    kinds = st.one_of(
+        pick,
+        st.tuples(pick, rational_coefficients).map(lambda t: t[0] * t[1]),
+        st.tuples(pick, nf_monomials).map(
+            lambda t: t[0] * Polynomial.monomial(R2, t[1])),
+        st.tuples(pick, pick, rational_coefficients).map(
+            lambda t: t[0] + t[1] * t[2]))
+    return data.draw(st.lists(kinds, max_size=6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_redundant_generators_leave_the_basis_byte_identical(data):
+    gens = data.draw(st.lists(nf_polynomials(False), min_size=1, max_size=3))
+    more = data.draw(st.permutations(gens + _redundant(data, gens)))
+    for order in NF_ORDERS:
+        want = reduced_groebner_basis(ideal(R2, gens), order)
+        got = reduced_groebner_basis(ideal(R2, more), order)
+        assert [list(g.terms.items()) for g in got] == [
+            list(g.terms.items()) for g in want]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.just(block_order(R3)), packed_orders))
+def test_reduced_basis_lists_the_leading_monomial_first(order):
+    # initial_ideal and the fan read the leading monomial off this
+    c = checks.random_generic_config(random.Random(201), 3)
+    for g in reduced_groebner_basis(ideal(R3, multiview_generators(c)),
+                                    order):
+        assert next(iter(g.terms)) == g.leading_term(order)[1]
