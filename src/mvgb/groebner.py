@@ -1,7 +1,9 @@
 """Buchberger engine over Q and Q(e): reduced bases, normal forms, initial
 ideals, ideal equality, elimination, intersection, multigraded Hilbert values,
-term-order families, and the Hilbert-function certificate of a universal
-basis over every term order."""
+term-order families, a check over an order family that certifies each order
+by a Hilbert-function comparison and forms S-pairs only where it fails, and
+the Hilbert-function certificate of a universal basis over every term
+order."""
 
 from __future__ import annotations
 
@@ -14,6 +16,7 @@ from math import gcd
 from .exactalg import EpsRational, integer_row, primitive_row
 from .monomial import (
     MonomialIdeal, multiview_hilbert_mismatch, standard_monomial_count,
+    standard_profiles,
 )
 from .polyring import (
     LexOrder, Polynomial, WeightOrder, block_order, elimination_order, m_var,
@@ -490,7 +493,13 @@ def minimal_generators(I):
 
 def _pairs_reduce_to_zero(pk, polys, use_chain=True):
     """(flag, witness) of is_groebner_basis for term dicts from _primitive."""
-    G = pk.elements(polys)
+    pair = _failing_pair(pk, pk.elements(polys), use_chain)
+    return pair is None, pair
+
+
+def _failing_pair(pk, G, use_chain=True):
+    """The first pair (i, j) of elements, by degree, whose S-polynomial
+    leaves a remainder on division by G; None when all reduce to zero."""
     lmes = [g[_LM] & pk.emask for g in G]
     done = set()
     idx = sorted(range(len(G)), key=lambda i: pk.by_degree(G[i]))
@@ -503,18 +512,40 @@ def _pairs_reduce_to_zero(pk, polys, use_chain=True):
                         lmes, i, j, Le, done, pk.eguard))
                     and _nf_dict(_spoly(G[i], G[j], pk.lcm(
                         G[i], lmes[i], Le), pk.D), G, pk)[0]):
-                return False, (i, j)
+                return i, j
             done.add((i, j) if i < j else (j, i))
-    return True, None
+    return None
+
+
+def _first_round_passes(pk, polys, leads):
+    """Do the term dicts from _primitive, with the given leading monomials,
+    form a Groebner basis?  The first round of a Buchberger run decides it,
+    before the basis grows: the interreduced input must reduce all its
+    S-pairs to zero, and the given monomials must divide every one of its
+    leading monomials."""
+    lms = [pk.encode(m) - pk.off for m in leads]
+    G = _interreduce(pk, polys)
+    return (all(any(not (g[_LM] - m) & pk.guard for m in lms) for g in G)
+            and _failing_pair(pk, G) is None)
+
+
+def _nonzero(gens):
+    """The caller's index of each nonzero generator, and their term dicts
+    from _primitive, in the same order."""
+    kept = [i for i, p in enumerate(gens) if p.terms]
+    return kept, _primitive([gens[i].terms for i in kept])
 
 
 def is_groebner_basis(gens, order, use_chain=True):
     """Does the set reduce all its S-polynomials to zero under the order?
 
-    Returns (flag, witness); the witness is the offending generator pair.
+    Returns (flag, witness); the witness is the offending generator pair,
+    as indices into gens.
     """
-    return _packed(order, _primitive([p.terms for p in gens]),
-                   _pairs_reduce_to_zero, use_chain)
+    gens = list(gens)
+    kept, polys = _nonzero(gens)
+    ok, pair = _packed(order, polys, _pairs_reduce_to_zero, use_chain)
+    return ok, pair and (kept[pair[0]], kept[pair[1]])
 
 
 def letter_rankings(n):
@@ -544,20 +575,67 @@ def random_weight_orders(ring, count, seed=0):
             for _ in range(count)]
 
 
+def _hilbert_certifier(gens, polys, order):
+    """A test that the leading monomials of gens under an order generate
+    its initial ideal, with no S-pair formed; None when the certificate
+    does not apply.
+
+    Under the given order the leading monomials must generate the initial
+    ideal in0 (_first_round_passes).  Under any order they generate an ideal J
+    inside the initial ideal, and every initial ideal of a multihomogeneous
+    ideal has the Hilbert function of in0.  When J and in0 are squarefree
+    with the same standard profiles, their Hilbert functions agree in every
+    multidegree, so J is the initial ideal and gens a Groebner basis.  The
+    certificate needs a ring without aux variables, which have no
+    multidegree, multihomogeneous generators and a squarefree in0.
+    """
+    ring = gens[0].ring
+    if ring.aux or not all(p.is_homogeneous() for p in gens):
+        return None
+
+    def leading_ideal(order):
+        return MonomialIdeal(ring, [max(t, key=order.key) for t in polys])
+
+    in0 = leading_ideal(order)
+    if not (in0.is_squarefree()
+            and _packed(order, polys, _first_round_passes, in0.gens)):
+        return None
+    target = standard_profiles(in0)
+
+    def certified(order):
+        J = leading_ideal(order)
+        return J == in0 or (J.is_squarefree()
+                            and standard_profiles(J) == target)
+    return certified
+
+
 def universal_groebner_check(gens, orders, jobs=1):
-    """Check by S-pair reduction that the set is a Groebner basis under every
-    order of the given family.  Only jobs=1 is supported.
+    """Check that the set is a Groebner basis under every order of the
+    given family.  Only jobs=1 is supported.
+
+    When the set passes the first order in the first round of a Buchberger
+    run, an order whose leading monomials certify the initial ideal by its
+    Hilbert function passes with no S-pair formed (_hilbert_certifier).
+    Every other order is checked by S-pair reduction, which alone can
+    reject one; so is every order when the certificate does not apply.
 
     Returns (flag, witness); on failure the witness records the failing order
-    index and generator pair.
+    index and generator pair, as indices into gens.
     """
     if jobs != 1:
         raise ValueError("only jobs=1 is supported")
-    polys = _primitive([p.terms for p in gens])
+    gens, orders = list(gens), list(orders)
+    kept, polys = _nonzero(gens)
+    if not polys or not orders:
+        return True, None
+    certified = _hilbert_certifier([gens[i] for i in kept], polys, orders[0])
     for k, order in enumerate(orders):
+        if certified is not None and certified(order):
+            continue
         ok, pair = _packed(order, polys, _pairs_reduce_to_zero)
         if not ok:
-            return False, {"order_index": k, "pair": pair}
+            return False, {"order_index": k,
+                           "pair": (kept[pair[0]], kept[pair[1]])}
     return True, None
 
 

@@ -359,6 +359,167 @@ def test_chain_criterion_skips_are_pinned(monkeypatch):
     assert got == [(53, 667), (1, 0), (8, 4), (8, 4)] * 3
 
 
+# ---------------------------------------------------------------------------
+# Hilbert-function certificate of the universal check
+
+def test_witness_pair_indexes_the_callers_list():
+    # zero generators are dropped before the check, but the witness names
+    # the pair by its place in the list as given
+    c = random_config(random.Random(8), 3)
+    ring = c.ring()
+    order = permuted_block_lex_orders(ring)[9]
+    small = minimal_multiview_generators(c)
+    zero = Polynomial.zero(ring)
+    assert is_groebner_basis(small, order) == (False, (2, 1))
+    for gset, pair in (([zero] + small, (3, 2)),
+                       (small[:2] + [zero] + small[2:], (3, 1)),
+                       (small + [zero, zero], (2, 1))):
+        assert is_groebner_basis(gset, order) == (False, pair)
+        assert is_groebner_basis(gset, order, use_chain=False) == (
+            False, pair)
+        assert universal_groebner_check(gset, [order]) == (
+            False, {"order_index": 0, "pair": pair})
+
+
+def test_universal_check_of_no_generators_or_no_orders():
+    c = random_config(random.Random(8), 3)
+    ring = c.ring()
+    small = minimal_multiview_generators(c)
+    assert universal_groebner_check([], [block_order(ring)]) == (True, None)
+    assert universal_groebner_check([], []) == (True, None)
+    assert universal_groebner_check(small, []) == (True, None)
+    assert universal_groebner_check([Polynomial.zero(ring)],
+                                    [block_order(ring)]) == (True, None)
+
+
+def _counting_pair_checks(monkeypatch):
+    """The list of verdicts of every S-pair check run from now on."""
+    from mvgb import groebner
+    seen = []
+    check = groebner._pairs_reduce_to_zero
+
+    def counting(*args):
+        got = check(*args)
+        seen.append(got[0])
+        return got
+
+    monkeypatch.setattr(groebner, "_pairs_reduce_to_zero", counting)
+    return seen
+
+
+def _certify_family(ring, seed):
+    """8 permuted block orders and 4 weight orders, as one certify job
+    samples them."""
+    rng = random.Random(seed)
+    return (rng.sample(permuted_block_lex_orders(ring), 8)
+            + random_weight_orders(ring, 4, seed=seed))
+
+
+def test_hilbert_certificate_replaces_s_pair_checks(monkeypatch):
+    # the seed-201 minors pass every order on the certificate alone; the
+    # minimal generators fail it at once and are rejected by S-pairs
+    seen = _counting_pair_checks(monkeypatch)
+    c = checks.random_generic_config(random.Random(201), 3)
+    ring = c.ring()
+    orders = _certify_family(ring, 201)
+    assert universal_groebner_check(multiview_generators(c), orders) == (
+        True, None)
+    assert seen == []
+    ok, witness = universal_groebner_check(
+        minimal_multiview_generators(c), orders)
+    # one S-pair check, the one that rejects the set at its order
+    assert not ok and seen == [False]
+    assert witness["order_index"] == 0
+
+
+def _inhomogeneous(gens):
+    # (1 + x1)*g lies in the ideal, and x1 times g's leading monomial leads
+    # it under every order
+    return gens + [gens[0] * P(gens[0].ring, "1 + x1")]
+
+
+def _with_aux(gens):
+    ring = gens[0].ring.with_aux(1)
+    return [g.in_ring(ring) for g in gens]
+
+
+@pytest.mark.parametrize("build", ["inhomogeneous", "aux", "non_squarefree"])
+def test_universal_check_falls_back_to_s_pairs(monkeypatch, build):
+    # when the certificate does not apply, every order is checked by
+    # S-pairs, with the flags and witnesses of the per-order path
+    seen = _counting_pair_checks(monkeypatch)
+    c = random_config(random.Random(8), 3)
+    ring = c.ring()
+    gens, small = multiview_generators(c), minimal_multiview_generators(c)
+    if build == "inhomogeneous":
+        sets = [_inhomogeneous(gens), _inhomogeneous(small)]
+        orders = _certify_family(ring, 8)
+    elif build == "aux":
+        sets = [_with_aux(gens), _with_aux(small)]
+        ring = sets[0][0].ring
+        orders = [block_order(ring)] + random_weight_orders(ring, 3, seed=8)
+    else:
+        # leading monomials on disjoint variables: a basis under every order
+        sets = [[P(ring, s) for s in polys] for polys in (
+            ("x1^2 - y1^2", "x2*y3 - x3*y2"),
+            ("x1^2 - y1*z1", "x1*y2 - x2*y1", "y1^2*x2 - z1^2*y2",
+             "x1*z1*y3 - y1^2*z3"))]
+        orders = _certify_family(ring, 8)
+        assert not any(initial_ideal(ideal(ring, gset),
+                                     orders[0]).is_squarefree()
+                       for gset in sets)
+    verdicts = []
+    for gset in sets:
+        seen.clear()
+        got = universal_groebner_check(gset, orders)
+        checked = len(orders) if got[0] else got[1]["order_index"] + 1
+        assert len(seen) == checked
+        assert got == _per_order_check(gset, orders)
+        verdicts.append(got[0])
+    assert verdicts == [True, False]
+
+
+def test_universal_check_over_q_eps():
+    # the collinear family is a basis under the block order but not under
+    # every sampled order; certificate and S-pairs agree with the per-order
+    # path, and so does the family without one cubic
+    gens = collinear_family_generators(3)
+    orders = _certify_family(R3, 4)
+    got = universal_groebner_check(gens, orders)
+    assert got == _per_order_check(gens, orders)
+    assert got[1]["order_index"] == 1
+    assert universal_groebner_check(gens, [block_order(R3)]) == (True, None)
+    rest = gens[:3] + gens[4:]
+    assert universal_groebner_check(rest, orders) == _per_order_check(
+        rest, orders)
+
+
+MINORS_201 = multiview_generators(
+    checks.random_generic_config(random.Random(201), 3))
+universal_orders = st.one_of(
+    st.sampled_from(permuted_block_lex_orders(R3)),
+    st.permutations(range(R3.nvars)).map(lambda p: LexOrder(R3, p)),
+    st.lists(st.integers(1, 10 ** 6), min_size=R3.nvars,
+             max_size=R3.nvars).map(lambda w: WeightOrder(R3, w)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_universal_check_matches_per_order_checks_on_subsets(data):
+    # a few minors, or all but a few: most of the latter pass some orders
+    # on the certificate and fail others by S-pairs
+    picked = set(data.draw(st.lists(st.integers(0, len(MINORS_201) - 1),
+                                    min_size=1, max_size=12)))
+    if data.draw(st.booleans()):
+        picked = set(range(len(MINORS_201))) - set(list(picked)[:4])
+    gens = [MINORS_201[i] for i in sorted(picked)]
+    if data.draw(st.booleans()):
+        gens.insert(data.draw(st.integers(0, len(gens))),
+                    Polynomial.zero(R3))
+    orders = data.draw(st.lists(universal_orders, min_size=1, max_size=4))
+    assert universal_groebner_check(gens, orders) == _per_order_check(
+        gens, orders)
+
 def test_minimal_generation_three_cameras():
     rng = random.Random(10)
     c = random_config(rng, 3)
