@@ -25,7 +25,7 @@ from .cameras import (
 )
 from .polyring import (
     LexOrder, Ring, WeightOrder, canonical_string,
-    format_monomial, format_polynomial, parse_polynomial,
+    format_monomial, format_polynomial, m_deg, parse_polynomial,
 )
 
 SCHEMA_VERSION = 1
@@ -164,9 +164,24 @@ def cmd_ideal_from_cameras(args):
     return 0
 
 
+def _order_for(I, spec):
+    """The parsed order; an order that is not a well-order is refused for
+    a file with a generator that is not homogeneous in total degree, where
+    Buchberger's algorithm need not stop."""
+    order = parse_order(I.ring, spec)
+    falling = [v for v in range(I.ring.nvars)
+               if next((row[v] for row in order.rows if row[v]), 0) < 0]
+    if falling and any(len({m_deg(m) for m in p.terms}) > 1
+                       for p in I.generators):
+        raise InputError("order ranks %s below 1, which needs generators "
+                         "homogeneous in total degree"
+                         % I.ring.name(falling[0]))
+    return order
+
+
 def cmd_gb(args):
     I = load_ideal(args.file, args.n)
-    order = parse_order(I.ring, args.order)
+    order = _order_for(I, args.order)
     basis = gb.reduced_groebner_basis(I, order)
     _emit({"schema_version": SCHEMA_VERSION,
            "basis": [format_polynomial(p) for p in basis],
@@ -178,7 +193,7 @@ def cmd_gb(args):
 
 def cmd_nf(args):
     I = load_ideal(args.file, args.n)
-    order = parse_order(I.ring, args.order)
+    order = _order_for(I, args.order)
     basis = gb.reduced_groebner_basis(I, order)
     try:
         p = parse_polynomial(I.ring, args.poly)

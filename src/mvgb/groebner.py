@@ -348,6 +348,7 @@ class IdealPresentation:
         monic and sorted by leading monomial.  Each element's term dict
         lists its leading monomial first."""
         order = order or block_order(self.ring)
+        _check_rings([], [order], self.ring)
         sig = order.signature
         got = self._gb.get(sig)
         if got is None:
@@ -362,6 +363,20 @@ class IdealPresentation:
     def __repr__(self):
         return "IdealPresentation<%d generators over %r>" % (
             len(self.generators), self.ring)
+
+
+def _check_rings(polys, orders, ring=None):
+    """Raise ValueError, naming the mismatch, unless the polynomials and the
+    orders lie over one ring (the given one, when there is one)."""
+    for p in polys:
+        ring = ring or p.ring
+        if p.ring != ring:
+            raise ValueError("polynomial over %r among polynomials over %r"
+                             % (p.ring, ring))
+    for order in orders:
+        if ring is not None and order.ring != ring:
+            raise ValueError("order on %r for polynomials over %r"
+                             % (order.ring, ring))
 
 
 def ideal(ring, generators):
@@ -387,9 +402,11 @@ def reduced_groebner_basis(I, order=None):
 def normal_forms(polys, basis, order=None):
     """Remainders of the polynomials on division by one Groebner basis for
     the given order; the basis is encoded and prepared once."""
-    polys = list(polys)
+    polys, basis = list(polys), list(basis)
     if not polys:
         return []
+    order = order or block_order(polys[0].ring)
+    _check_rings(polys + basis, [order])
     gens = _primitive([g.terms for g in basis])
     eps_basis = _is_eps(gens)
 
@@ -406,8 +423,7 @@ def normal_forms(polys, basis, order=None):
                 for m, c in r.items()}))
         return out
 
-    return _packed(order or block_order(polys[0].ring),
-                   gens + [p.terms for p in polys], run)
+    return _packed(order, gens + [p.terms for p in polys], run)
 
 
 def normal_form(p, basis, order=None):
@@ -543,6 +559,7 @@ def is_groebner_basis(gens, order, use_chain=True):
     as indices into gens.
     """
     gens = list(gens)
+    _check_rings(gens, [order])
     kept, polys = _nonzero(gens)
     ok, pair = _packed(order, polys, _pairs_reduce_to_zero, use_chain)
     return ok, pair and (kept[pair[0]], kept[pair[1]])
@@ -625,6 +642,7 @@ def universal_groebner_check(gens, orders, jobs=1):
     if jobs != 1:
         raise ValueError("only jobs=1 is supported")
     gens, orders = list(gens), list(orders)
+    _check_rings(gens, orders)
     kept, polys = _nonzero(gens)
     if not polys or not orders:
         return True, None

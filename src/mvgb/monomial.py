@@ -307,8 +307,8 @@ def standard_count_box(I, bound=3):
     return box
 
 
-def multiview_hilbert_mismatch(I, bound=3):
-    """The first multidegree u <= bound, in box order, whose standard count
+def multiview_hilbert_mismatch(I):
+    """The first multidegree u <= 3, in box order, whose standard count
     differs from multiview_hilbert_function; None when the whole box agrees.
 
     Requires squarefree generators.  The box u <= 3 then decides every
@@ -318,7 +318,7 @@ def multiview_hilbert_mismatch(I, bound=3):
     if not I.is_squarefree():
         raise ValueError("the box decides only for squarefree generators")
     n = I.ring.n
-    box = standard_count_box(I, bound)
+    box = standard_count_box(I)
     return next((u for u, got in box.items()
                  if got != multiview_hilbert_function(n, u)), None)
 
@@ -518,12 +518,15 @@ def relabel(I, camera_perm, letter_perms):
     return MonomialIdeal(ring, new_gens)
 
 
-_VAR_PERM_CACHE = {}
+_GROUP_CACHE = {}
 
 
-def _group_var_perms(n):
-    """Variable permutation arrays for the whole group (S3)^n x| S_n."""
-    got = _VAR_PERM_CACHE.get(n)
+def _group_bit_images(n):
+    """The group (S3)^n x| S_n as an (|G|, 3n) array: entry [k, v] is the
+    bit of the image of variable v under element k, the identity first."""
+    import numpy as np
+
+    got = _GROUP_CACHE.get(n)
     if got is None:
         perms3 = list(itertools.permutations(range(3)))
         out = []
@@ -533,101 +536,42 @@ def _group_var_perms(n):
                 for c in range(n):
                     for slot in range(3):
                         var_perm[slot * n + c] = combo[c][slot] * n + tau[c]
-                out.append(tuple(var_perm))
-        got = tuple(out)
-        _VAR_PERM_CACHE[n] = got
+                out.append(var_perm)
+        got = _GROUP_CACHE[n] = np.int64(1) << np.array(out, dtype=np.int64)
     return got
 
 
 def canonical_form(I):
-    """The lexicographically minimal serialized image of the ideal over the
-    whole group, and the size of its orbit (the number of distinct images)."""
-    group = _group_var_perms(I.ring.n)
+    """The lexicographically minimal sorted support masks over the images of
+    a squarefree ideal under the whole group, and the size of its orbit
+    (the number of distinct images)."""
+    if not I.is_squarefree():
+        raise ValueError("orbits implemented for squarefree ideals")
     if not I.gens:
-        return ("sf", ()), 1
+        return (), 1
     import numpy as np
 
-    squarefree = I.is_squarefree()
-    keys = _mask_images(I, group) if squarefree else _code_images(I, group)
-    if keys is None:   # exponents too large to pack: list every image
-        images = _generic_images(I, group)
-        return ("gen", min(images)), len(images)
+    keys = _mask_images(I)
     best = int(np.lexsort(keys.T[::-1])[0])
     # orbit-stabilizer: the orbit has |G| / #{g : g(I) = I} elements; the
     # first group element is the identity
     fixed = keys[keys[:, 0] == keys[0, 0]]
     stabilizer = int((fixed == keys[0]).all(axis=1).sum())
-    if squarefree:
-        label = ("sf", tuple(int(x) for x in keys[best]))
-    else:
-        label = ("gen", _generic_images(I, group[best:best + 1]).pop())
-    return label, len(group) // stabilizer
+    return tuple(int(x) for x in keys[best]), len(keys) // stabilizer
 
 
-def _generic_images(I, group):
-    """Every image of the ideal, as a sorted tuple of sorted generators."""
-    return {tuple(sorted(tuple(sorted((perm[v], e) for v, e in g))
-                         for g in I.gens))
-            for perm in group}
-
-
-_PERM_ARRAY_CACHE = {}
-
-
-def _perm_arrays(nv, group):
-    """The group as an (|G|, nv) array P, P[k, v] the image of variable v
-    under element k, and 2^P, the image of each variable's bit."""
-    import numpy as np
-
-    got = _PERM_ARRAY_CACHE.get(nv)
-    if got is None:
-        P = np.array(group, dtype=np.int64)
-        got = _PERM_ARRAY_CACHE[nv] = (P, np.int64(1) << P)
-    return got
-
-
-def _mask_images(I, group):
+def _mask_images(I):
     """For a squarefree ideal, the (|G|, gens) array whose row k holds the
     sorted generator support masks of the image under group element k."""
     import numpy as np
 
-    nv = I.ring.nvars
-    B = np.zeros((nv, len(I.gens)), dtype=np.int64)
+    B = np.zeros((I.ring.nvars, len(I.gens)), dtype=np.int64)
     for gi, g in enumerate(I.gens):
         for v, _ in g:
             B[v, gi] = 1
-    masks = _perm_arrays(nv, group)[1] @ B   # remapped support masks
+    masks = _group_bit_images(I.ring.n) @ B   # remapped support masks
     masks.sort(axis=1)
     return masks
-
-
-def _code_images(I, group):
-    """The (|G|, gens) array whose row k holds one int per generator of the
-    image under group element k, sorted, such that the int order is the
-    order of the sorted (variable, exponent) tuples; None when the ints
-    would not fit in 63 bits.
-
-    A pair (v, e) is the digit v*E + e (E the largest exponent), so digits
-    sort as pairs; a generator is its ascending digits in base
-    nvars*E + 1, padded with zero digits, which keeps a prefix below every
-    extension."""
-    import numpy as np
-
-    nv = I.ring.nvars
-    top = max(e for g in I.gens for _, e in g)
-    width = max(len(g) for g in I.gens)
-    base = nv * top + 1
-    if base ** width >= 1 << 63:
-        return None
-    P = _perm_arrays(nv, group)[0]
-    keys = np.empty((len(group), len(I.gens)), dtype=np.int64)
-    for gi, g in enumerate(I.gens):
-        digits = P[:, [v for v, _ in g]] * top + [e for _, e in g]
-        digits.sort(axis=1)
-        keys[:, gi] = digits @ [base ** (width - 1 - i)
-                                for i in range(len(g))]
-    keys.sort(axis=1)
-    return keys
 
 
 def _packed_rows(masks):
@@ -647,22 +591,20 @@ def _packed_rows(masks):
 
 def _orbit_key(I):
     """The key under which _orbit_image_keys lists the ideal itself."""
-    if I.is_squarefree():
-        return _packed_rows([sorted(I.support_masks())])[0]
-    return tuple(sorted(I.gens))
+    if not I.is_squarefree():
+        raise ValueError("orbits implemented for squarefree ideals")
+    return _packed_rows([sorted(I.support_masks())])[0]
 
 
 def _orbit_image_keys(I):
     """The set of keys of all images of the ideal over the whole group."""
-    group = _group_var_perms(I.ring.n)
-    if not I.is_squarefree():
-        return _generic_images(I, group)
-    return set(_packed_rows(_mask_images(I, group)))
+    return set(_packed_rows(_mask_images(I)))
 
 
 def symmetry_orbits(ideals, strict=False):
-    """Partition a set of monomial ideals into orbits of the action of
-    per-camera letter permutations composed with camera relabeling.
+    """Partition a set of squarefree monomial ideals into orbits of the
+    action of per-camera letter permutations composed with camera
+    relabeling; any other ideal raises ValueError.
 
     Each orbit is visited once: the images of its first unassigned member
     over the whole group pick out the other input members, so ideals related

@@ -413,9 +413,8 @@ class Polynomial:
         m = max(self.terms, key=order.key)
         return self.terms[m], m
 
-    def map_coefficients(self, fn, ring=None):
-        return Polynomial(ring or self.ring,
-                          {m: fn(c) for m, c in self.terms.items()})
+    def map_coefficients(self, fn):
+        return Polynomial(self.ring, {m: fn(c) for m, c in self.terms.items()})
 
     def in_ring(self, ring):
         """Reinterpret in a ring with the same block variables."""
@@ -464,12 +463,11 @@ def _coeff_str(c, mono_str):
     return s if mono_str == "1" else "%s*%s" % (s, mono_str)
 
 
-def format_polynomial(p, order=None):
+def format_polynomial(p):
     if not p.terms:
         return "0"
-    order = order or block_order(p.ring)
     out = []
-    for m in sorted(p.terms, key=order.key, reverse=True):
+    for m in sorted(p.terms, key=block_order(p.ring).key, reverse=True):
         s = _coeff_str(p.terms[m], format_monomial(p.ring, m))
         if not out:
             out.append(s)

@@ -162,7 +162,7 @@ def _pair_sums(candidates):
     return found
 
 
-def enumerate_initial_ideals(I, kernel_rows=None, node_cap=None):
+def enumerate_initial_ideals(I, kernel_rows=None):
     """All initial monomial ideals of a homogeneous ideal, by breadth-first
     flip traversal of the Groebner fan.
 
@@ -171,7 +171,7 @@ def enumerate_initial_ideals(I, kernel_rows=None, node_cap=None):
     to A.  Candidates that are the primitive sum of two others are ruled out
     with no LP.  kernel_rows, when given, is an integer basis of the space
     spanned by the exponent differences (the facet LPs then run in that
-    dimension).  With node_cap set, visiting more nodes raises RuntimeError.
+    dimension).
     """
     I = _as_ideal(I)
     ring = I.ring
@@ -228,16 +228,15 @@ def enumerate_initial_ideals(I, kernel_rows=None, node_cap=None):
             k = _node_key(nb)
             flipped.setdefault(k, set()).add(tuple(-x for x in c))
             if k not in seen:
-                if node_cap is not None and len(seen) >= node_cap:
-                    raise RuntimeError("fan traversal exceeded the node cap")
                 seen[k] = nb
                 queue.append(nb)
     return [seen[k] for k in sorted(seen)]
 
 
-def symmetry_classes(ideals, strict=False):
-    """Orbits under per-camera letter permutations and camera relabeling."""
-    return symmetry_orbits(ideals, strict=strict)
+def symmetry_classes(ideals):
+    """Orbits of squarefree ideals under per-camera letter permutations and
+    camera relabeling."""
+    return symmetry_orbits(ideals)
 
 
 # ---------------------------------------------------------------------------

@@ -125,6 +125,26 @@ def test_input_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command, text", [
+    (["nf", "--poly", "x1^3"], "x1 - x1^2\n"),
+    (["gb"], "x1 - x1^2\nx1*y1 - y1^2\n"),
+])
+def test_order_below_1_on_inhomogeneous_input_exits_2(tmp_path, capsys,
+                                                      command, text):
+    # x1 < 1 under the weight row, so x1 > x1^2 > x1^3 > ... and division
+    # by x1 - x1^2 would not stop; a homogeneous file is still accepted
+    path = tmp_path / "i.txt"
+    path.write_text(text)
+    order = ["--order", "weight:[-1,0,0,0,0,0]"]
+    assert main([command[0], str(path)] + command[1:] + order) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "x1" in captured.err
+    assert not captured.out
+    path.write_text("x1^2 - x1*y1\n")
+    rc, payload = run(capsys, "gb", str(path), *order)
+    assert rc == 0 and payload["initial_ideal"] == ["x1*y1"]
+
+
 @pytest.mark.parametrize("text", ["x1^2*y2\n", "x1*w2\n"])
 def test_decompose_outside_its_domain_exits_2(tmp_path, capsys, text):
     # minimal primes need a squarefree ideal, the Borel test no w block

@@ -17,7 +17,8 @@ from mvgb.groebner import (
     cone_certificates, eliminate,
     hilbert_value, ideal, ideal_equal, initial_ideal, intersect,
     is_groebner_basis, letter_rankings, minimal_generators, normal_form,
-    permuted_block_lex_orders, random_weight_orders, reduced_groebner_basis,
+    normal_forms, permuted_block_lex_orders, random_weight_orders,
+    reduced_groebner_basis,
     universal_basis_certificate, universal_groebner_check,
 )
 from mvgb.degeneration import collinear_family_generators
@@ -800,6 +801,28 @@ def test_normal_form_takes_a_basis_iterator():
                                            P(R3, "x1*y1 - z1")]))
     p = P(R3, "x1^3 + y1^2")
     assert normal_form(p, iter(gb)) == normal_form(p, gb) != p
+
+
+def test_orders_and_generators_from_another_ring_are_refused():
+    R2 = Ring(2)
+    gens = [P(R3, "x1^2 - y1"), P(R3, "x1*y1 - z1")]
+    other = block_order(R2)
+    calls = [
+        lambda: is_groebner_basis(gens, other),
+        lambda: universal_groebner_check(gens, [block_order(R3), other]),
+        lambda: reduced_groebner_basis(ideal(R3, gens), other),
+        lambda: normal_form(P(R3, "x1^3"), gens, other),
+        lambda: normal_forms([P(R3, "x1^3")], gens, other),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="order on Ring\\(2\\)"):
+            call()
+    mixed = gens + [P(R2, "x1*y2 - x2*y1")]
+    for call in (lambda: is_groebner_basis(mixed, block_order(R3)),
+                 lambda: universal_groebner_check(mixed, [block_order(R3)]),
+                 lambda: normal_form(P(R3, "x1^3"), mixed, block_order(R3))):
+        with pytest.raises(ValueError, match="polynomial over Ring\\(2\\)"):
+            call()
 
 
 # ---------------------------------------------------------------------------

@@ -137,17 +137,6 @@ def test_fan_of_three_camera_toric_ideal():
         assert sum(graph["degrees"]) == 2 * len(graph["edges"])
 
 
-def test_node_cap():
-    cm3 = cayley_matrix(3)
-    I3 = toric_ideal(cm3)
-    rows = variable_kernel_rows(cm3)
-    assert len(enumerate_initial_ideals(I3, kernel_rows=rows,
-                                        node_cap=20)) == 20
-    for cap in (5, 19):
-        with pytest.raises(RuntimeError):
-            enumerate_initial_ideals(I3, kernel_rows=rows, node_cap=cap)
-
-
 def test_empty_generator_list_needs_a_ring():
     with pytest.raises(ValueError,
                        match="empty generator list needs an explicit ring"):
