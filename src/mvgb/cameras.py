@@ -12,7 +12,7 @@ from .exactalg import (
     EpsRational, Matrix, det, eps, integer_row, inverse, kernel, rank,
 )
 from .groebner import IdealPresentation, eliminate
-from .polyring import Polynomial, Ring, m_from_pairs
+from .polyring import Polynomial, Ring, m_from_pairs, m_var
 
 __all__ = [
     "CameraConfig", "FocalPoint", "focal_points", "is_generic",
@@ -28,13 +28,14 @@ __all__ = [
 class CameraConfig:
     """An n-tuple of rank-3 exact 3x4 camera matrices, n >= 2.
 
-    Row r of camera c (both 0-based) is global row 3c + r.  Brackets, the
-    4x4 determinants of camera rows, come from a table built on first use
-    and kept on the instance: the six 2x2 minors of every pair of global
-    rows, in ints over Q (each row scaled by the lcm of its denominators)
-    and as rational functions for rows with entries in Q(e)."""
+    The configuration holds its ring Ring(n), built once.  Row r of camera
+    c (both 0-based) is global row 3c + r.  Brackets, the 4x4 determinants
+    of camera rows, come from a table built on first use and kept on the
+    instance: the six 2x2 minors of every pair of global rows, in ints over
+    Q (each row scaled by the lcm of its denominators) and as rational
+    functions for rows with entries in Q(e)."""
 
-    __slots__ = ("matrices", "_pairs", "_brackets")
+    __slots__ = ("matrices", "_ring", "_pairs", "_brackets")
 
     def __init__(self, matrices):
         ms = []
@@ -51,6 +52,7 @@ class CameraConfig:
         if len(ms) < 2:
             raise ValueError("need at least two cameras")
         self.matrices = tuple(ms)
+        self._ring = Ring(len(ms))
         self._pairs = None
         self._brackets = {}
 
@@ -58,8 +60,8 @@ class CameraConfig:
     def n(self):
         return len(self.matrices)
 
-    def ring(self, extended=False):
-        return Ring(self.n, extended=extended)
+    def ring(self):
+        return self._ring
 
     def _pair_table(self):
         """(minors, scale) per global row pair g <= h: the 2x2 minors of the
@@ -193,58 +195,53 @@ def extend_to_invertible(config):
     return out
 
 
-def _checked_sigma(config, sigma, ring=None):
+def _checked_sigma(config, sigma):
     """sigma sorted, after checking that it names at least two distinct
-    cameras of the configuration (and of the ring, when one is given)."""
+    cameras of the configuration."""
     sigma = tuple(sorted(sigma))
-    top = config.n if ring is None else min(config.n, ring.n)
     if len(sigma) < 2:
         raise ValueError("sigma needs at least two cameras")
     if len(set(sigma)) < len(sigma) or not all(
-            isinstance(i, int) and 1 <= i <= top for i in sigma):
+            isinstance(i, int) and 1 <= i <= config.n for i in sigma):
         raise ValueError("sigma must list distinct cameras in 1..%d, got %r"
-                         % (top, sigma))
+                         % (config.n, sigma))
     return sigma
 
 
-def stacked_camera_matrix(config, sigma, extended=False):
+def stacked_camera_matrix(config, sigma):
     """The block matrix pairing camera rows with one variable column per
-    camera of sigma: 3s x (s+4) entries, or 4s x (s+4) in the extended case.
-    Entries are polynomials."""
+    camera of sigma: 3s x (s+4) entries.  Entries are polynomials."""
     sigma = _checked_sigma(config, sigma)
-    ring = config.ring(extended)
-    letters = ring.letters
-    mats = extend_to_invertible(config) if extended else config.matrices
-    rpb = len(letters)
+    ring = config.ring()
     s = len(sigma)
     rows = []
     for b, cam in enumerate(sigma):
-        for r in range(rpb):
+        for r, letter in enumerate(ring.letters):
             row = [Polynomial.constant(ring, e)
-                   for e in mats[cam - 1].rows[r]]
+                   for e in config.matrices[cam - 1].rows[r]]
             for bb in range(s):
                 if bb == b:
-                    row.append(Polynomial.variable(ring, letters[r], cam))
+                    row.append(Polynomial.variable(ring, letter, cam))
                 else:
                     row.append(Polynomial.zero(ring))
             rows.append(row)
     return Matrix(rows)
 
 
-def sigma_minor(config, sigma, rows, ring=None):
+def sigma_minor(config, sigma, rows):
     """Maximal minor of the stacked matrix for the given global row subset,
     expanded as a sum of variable products times camera brackets.
 
     Expanding along the variable columns picks one row per camera block;
     the other four rows give the bracket.  The picked rows hold one variable
     of each camera of sigma, so each choice is a distinct monomial."""
-    sigma = _checked_sigma(config, sigma, ring)
+    sigma = _checked_sigma(config, sigma)
     s = len(sigma)
     rows = sorted(rows)
     if len(rows) != s + 4 or len(set(rows)) < len(rows) or not all(
             isinstance(r, int) and 0 <= r < 3 * s for r in rows):
         raise ValueError("need %d distinct rows in 0..%d" % (s + 4, 3 * s - 1))
-    ring = ring or config.ring()
+    ring = config.ring()
     letters = ring.letters
     # stacked row r is row r % 3 of camera sigma[r // 3]; sigma is sorted,
     # so the global rows keep the order of the stacked ones.  Per block:
@@ -276,38 +273,35 @@ def _sigma_subsets(n):
         yield from sorted(subsets, key=lambda s: tuple(reversed(s)))
 
 
-def multiview_generators(config, ring=None):
+def multiview_generators(config):
     """All maximal minors of the stacked matrices over 2 <= |sigma| <= 4,
     zero minors dropped; cameras in colex order, row subsets in lex order."""
     if not distinct_focal_points(config):
         warnings.warn("focal points are not pairwise distinct", RuntimeWarning)
-    ring = ring or config.ring()
     out = []
     for sigma in _sigma_subsets(config.n):
         s = len(sigma)
         for rows in itertools.combinations(range(3 * s), s + 4):
-            p = sigma_minor(config, sigma, rows, ring)
+            p = sigma_minor(config, sigma, rows)
             if p.terms:
                 out.append(p)
     return out
 
 
-def minimal_multiview_generators(config, ring=None):
+def minimal_multiview_generators(config):
     """The bilinear generators plus one trilinear minor per camera triple
     (the one dropping the first row of the two larger cameras)."""
-    ring = ring or config.ring()
     out = []
     for i, j in itertools.combinations(range(1, config.n + 1), 2):
-        out.append(sigma_minor(config, (i, j), tuple(range(6)), ring))
+        out.append(sigma_minor(config, (i, j), tuple(range(6))))
     for trip in itertools.combinations(range(1, config.n + 1), 3):
         rows = [r for r in range(9) if r not in (3, 6)]
-        out.append(sigma_minor(config, trip, rows, ring))
+        out.append(sigma_minor(config, trip, rows))
     return [p for p in out if p.terms]
 
 
-def multiview_ideal(config, ring=None):
-    ring = ring or config.ring()
-    return IdealPresentation(ring, multiview_generators(config, ring))
+def multiview_ideal(config):
+    return IdealPresentation(config.ring(), multiview_generators(config))
 
 
 def fundamental_matrix(config, i, j):
@@ -327,9 +321,9 @@ def fundamental_matrix(config, i, j):
     ])
 
 
-def epipolar_form(config, i, j, ring=None):
+def epipolar_form(config, i, j):
     """The bilinear form p_j^T F p_i as a polynomial."""
-    ring = ring or config.ring()
+    ring = config.ring()
     F = fundamental_matrix(config, i, j)
     letters = ring.letters
     terms = {}
@@ -399,24 +393,18 @@ def in_linearly_general_position(config):
 
 def diagonal_embedding_ideal(config):
     """The ideal of 2x2 minors of the matrix whose i-th column is
-    B_i^{-1} (w_i, x_i, y_i, z_i)^T, in the extended ring."""
-    ring = config.ring(extended=True)
-    letters = ring.letters
-    bs = extend_to_invertible(config)
+    B_i^{-1} (t_i, x_i, y_i, z_i)^T, in Ring(n, aux=n): the aux variable
+    t_i is the world coordinate w_i of camera i."""
+    n = config.n
+    ring = Ring(n, aux=n)
     cols = []
-    for i, b in enumerate(bs, start=1):
-        binv = inverse(b)
-        col = []
-        for r in range(4):
-            terms = {}
-            for k in range(4):
-                c = binv.rows[r][k]
-                if c:
-                    terms[m_from_pairs([(ring.var(letters[k], i), 1)])] = c
-            col.append(Polynomial(ring, terms))
-        cols.append(col)
+    for i, b in enumerate(extend_to_invertible(config), start=1):
+        coords = [3 * n + i - 1] + [ring.var(L, i) for L in ring.letters]
+        cols.append([Polynomial(ring, {m_var(v): c
+                                       for v, c in zip(coords, row) if c})
+                     for row in inverse(b).rows])
     gens = []
-    for c1, c2 in itertools.combinations(range(config.n), 2):
+    for c1, c2 in itertools.combinations(range(n), 2):
         for r1, r2 in itertools.combinations(range(4), 2):
             p = cols[c1][r1] * cols[c2][r2] - cols[c1][r2] * cols[c2][r1]
             if p.terms:
@@ -425,18 +413,10 @@ def diagonal_embedding_ideal(config):
 
 
 def multiview_ideal_via_elimination(config):
-    """Eliminate the w block from the diagonal embedding ideal."""
-    jb = diagonal_embedding_ideal(config)
-    ext = jb.ring
-    n = ext.n
-    keep = range(n, ext.nvars)
-    elim = eliminate(jb, keep)
-    base = Ring(n)
-    out = []
-    for p in elim.generators:
-        terms = {tuple((v - n, e) for v, e in m): c for m, c in p.terms.items()}
-        out.append(Polynomial(base, terms))
-    return IdealPresentation(base, out)
+    """Eliminate the aux variables from the diagonal embedding ideal."""
+    base = config.ring()
+    elim = eliminate(diagonal_embedding_ideal(config), range(base.nvars))
+    return IdealPresentation(base, [p.in_ring(base) for p in elim.generators])
 
 
 def rescale_cameras(config, scalars):

@@ -294,12 +294,10 @@ def criterion_9_tangent_dimensions(n_max=None):
     details = {}
     ok = True
     for n in _span((3, 4, 5, 6, 7), n_max):
-        d = tan.tangent_dimension(mono.collinear_initial_ideal(n))
-        details["n%d" % n] = d
+        good, info = tan.verify_collinear_tangent_basis(n)
+        d = details["n%d" % n] = info["tangent_dimension"]
         if d != 11 * n - 15:
             ok = False
-    for n in _span((3, 4, 5, 6, 7), n_max):
-        good, info = tan.verify_collinear_tangent_basis(n)
         if not good:
             ok = False
             details["basis_n%d" % n] = info

@@ -90,17 +90,11 @@ def load_ideal(path, n=None):
     if not lines:
         raise InputError("no polynomials in %s" % path)
     if n is None:
-        n = 0
-        extended = False
-        for ln in lines:
-            for letter, cam in re.findall(r"([wxyz])(\d+)", ln):
-                n = max(n, int(cam))
-                extended = extended or letter == "w"
-    else:
-        extended = any("w" in ln for ln in lines)
+        n = max((int(cam) for ln in lines
+                 for cam in re.findall(r"[xyz](\d+)", ln)), default=0)
     if n < 1:
         raise InputError("no camera in --n or in %s" % path)
-    ring = Ring(max(n, 2), extended=extended)
+    ring = Ring(max(n, 2))
     try:
         polys = [parse_polynomial(ring, ln) for ln in lines]
     except (ValueError, ZeroDivisionError) as exc:

@@ -133,7 +133,7 @@ def _family_matches_minors(n):
     import warnings
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        minors = multiview_generators(config, ring)
+        minors = multiview_generators(config)
     for k, r in enumerate(normal_forms(minors, gb)):
         if r:
             return False, {"direction": "minor outside family span",
@@ -141,7 +141,7 @@ def _family_matches_minors(n):
     # each family generator is proportional to one specific minor
     pos = 0
     for i, j in itertools.combinations(range(1, n + 1), 2):
-        minor = sigma_minor(config, (i, j), tuple(range(6)), ring)
+        minor = sigma_minor(config, (i, j), tuple(range(6)))
         if not proportional(minor, gens[pos]):
             return False, {"direction": "pair minor mismatch", "pair": (i, j)}
         pos += 1
@@ -149,7 +149,7 @@ def _family_matches_minors(n):
     for i, j, k in itertools.combinations(range(1, n + 1), 3):
         for d in drops:
             rows = [r for r in range(9) if r not in d]
-            minor = sigma_minor(config, (i, j, k), rows, ring)
+            minor = sigma_minor(config, (i, j, k), rows)
             if not proportional(minor, gens[pos]):
                 return False, {"direction": "triple minor mismatch",
                                "triple": (i, j, k)}

@@ -20,6 +20,7 @@ from .monomial import (
 )
 from .polyring import (
     LexOrder, Polynomial, WeightOrder, block_order, elimination_order, m_var,
+    plain_ring,
 )
 
 __all__ = [
@@ -571,16 +572,10 @@ def letter_rankings(n):
     return list(itertools.product(itertools.permutations(range(3)), repeat=n))
 
 
-def _plain_ring(ring):
-    if ring.extended or ring.aux:
-        raise ValueError("order family defined on the plain 3-letter ring")
-    return ring
-
-
 def permuted_block_lex_orders(ring):
     """The block lexicographic order of each letter ranking, in the order of
     letter_rankings: 6^n orders, one per cone of rankings."""
-    n = _plain_ring(ring).n
+    n = plain_ring(ring, "order family").n
     return [LexOrder(ring, tuple(ranking[i][slot] * n + i
                                  for slot in range(3) for i in range(n)))
             for ranking in letter_rankings(n)]
@@ -692,7 +687,7 @@ def cone_certificates(gens, rankings):
     Yields (flag, witness) per ranking: the witness names the index of a
     generator without such a term, or the first multidegree that miscounts.
     """
-    ring = _plain_ring(gens[0].ring)
+    ring = plain_ring(gens[0].ring, "cone certificates")
     shapes = {}   # (cameras, letters shown per camera) -> shape index
     table = []
     for p in gens:

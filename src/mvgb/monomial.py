@@ -11,7 +11,7 @@ from math import comb, prod
 
 from .polyring import (
     Polynomial, Ring, format_monomial, m_deg, m_div, m_divides, m_exp,
-    m_from_pairs, m_lcm, m_mul, m_one, m_squarefree, m_var,
+    m_from_pairs, m_lcm, m_mul, m_one, m_squarefree, m_var, plain_ring,
 )
 
 __all__ = [
@@ -393,9 +393,7 @@ def multidegree_support(I):
 def is_borel_fixed(I):
     """Exchange test: replacing one z_i by y_i or x_i, or one y_i by x_i, in
     any generator must stay in the ideal.  Returns (flag, witness)."""
-    ring = I.ring
-    if ring.extended:
-        raise ValueError("borel test defined for the 3-letter ring")
+    ring = plain_ring(I.ring, "borel test")
     for g in I.gens:
         for i in range(1, ring.n + 1):
             moves = [("z", "y"), ("z", "x"), ("y", "x")]
@@ -545,6 +543,7 @@ def canonical_form(I):
     """The lexicographically minimal sorted support masks over the images of
     a squarefree ideal under the whole group, and the size of its orbit
     (the number of distinct images)."""
+    plain_ring(I.ring, "canonical forms")
     if not I.is_squarefree():
         raise ValueError("orbits implemented for squarefree ideals")
     if not I.gens:
@@ -591,6 +590,7 @@ def _packed_rows(masks):
 
 def _orbit_key(I):
     """The key under which _orbit_image_keys lists the ideal itself."""
+    plain_ring(I.ring, "symmetry orbits")
     if not I.is_squarefree():
         raise ValueError("orbits implemented for squarefree ideals")
     return _packed_rows([sorted(I.support_masks())])[0]

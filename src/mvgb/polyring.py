@@ -1,10 +1,10 @@
 """Multigraded polynomial rings for camera geometry.
 
-The ring has one block of variables (x_i, y_i, z_i) per camera i = 1..n, and
-optionally a leading w_i block.  Variables are indexed block-major so that the
-default index order is the block lexicographic order x1 > ... > xn > y1 > ...
-(w block first when present).  Monomials are sparse tuples of (variable,
-exponent) pairs; polynomials are immutable coefficient maps over Q or Q(e).
+The ring has one block of variables (x_i, y_i, z_i) per camera i = 1..n.
+Variables are indexed block-major so that the default index order is the
+block lexicographic order x1 > ... > xn > y1 > ...  Monomials are sparse
+tuples of (variable, exponent) pairs; polynomials are immutable coefficient
+maps over Q or Q(e).
 """
 
 from __future__ import annotations
@@ -18,38 +18,32 @@ __all__ = [
     "Ring", "Polynomial", "WeightLexOrder", "LexOrder", "WeightOrder",
     "GrevlexOrder", "MatrixOrder", "block_order", "elimination_order",
     "parse_polynomial", "format_polynomial", "parse_monomial",
-    "format_monomial", "canonical_string",
+    "format_monomial", "canonical_string", "plain_ring",
 ]
-
-_BASE_LETTERS = ("x", "y", "z")
-_EXT_LETTERS = ("w", "x", "y", "z")
 
 
 class Ring:
-    """K[x,y,z] in 3n variables, or K[w,x,y,z] in 4n when extended.
+    """K[x,y,z] in 3n variables.
 
     aux extra variables (named t1, t2, ...) may be appended; they carry no
-    multidegree and exist for internal elimination tricks.
+    multidegree and exist to be eliminated.
     """
 
-    __slots__ = ("n", "extended", "aux", "nvars", "_names", "_index")
+    __slots__ = ("n", "aux", "nvars", "_names", "_index")
 
-    def __init__(self, n, extended=False, aux=0):
+    letters = ("x", "y", "z")
+
+    def __init__(self, n, aux=0):
         if n < 1:
             raise ValueError("need at least one camera block")
         self.n = n
-        self.extended = bool(extended)
         self.aux = aux
-        letters = _EXT_LETTERS if extended else _BASE_LETTERS
-        names = ["%s%d" % (L, i) for L in letters for i in range(1, n + 1)]
+        names = ["%s%d" % (L, i)
+                 for L in self.letters for i in range(1, n + 1)]
         names += ["t%d" % (k + 1) for k in range(aux)]
         self.nvars = len(names)
         self._names = tuple(names)
         self._index = {s: i for i, s in enumerate(names)}
-
-    @property
-    def letters(self):
-        return _EXT_LETTERS if self.extended else _BASE_LETTERS
 
     def var(self, letter, camera):
         """Index of the variable letter_camera (camera is 1-based)."""
@@ -76,27 +70,34 @@ class Ring:
     def multidegree(self, mono):
         """Multidegree in N^n; every block letter of camera i has degree e_i."""
         u = [0] * self.n
-        nblock = len(self.letters) * self.n
         for v, e in mono:
-            if v >= nblock:
+            if v >= 3 * self.n:
                 raise ValueError("aux variable has no multidegree")
             u[v % self.n] += e
         return tuple(u)
 
     def with_aux(self, k):
-        return Ring(self.n, self.extended, self.aux + k)
+        return Ring(self.n, self.aux + k)
 
     def __eq__(self, other):
         return (isinstance(other, Ring) and self.n == other.n
-                and self.extended == other.extended and self.aux == other.aux)
+                and self.aux == other.aux)
 
     def __hash__(self):
-        return hash((self.n, self.extended, self.aux))
+        return hash((self.n, self.aux))
 
     def __repr__(self):
-        tag = ", extended=True" if self.extended else ""
-        tag += ", aux=%d" % self.aux if self.aux else ""
-        return "Ring(%d%s)" % (self.n, tag)
+        return "Ring(%d%s)" % (self.n, ", aux=%d" % self.aux if self.aux
+                               else "")
+
+
+def plain_ring(ring, what):
+    """The ring, when it has no aux variables: what (an operation) acts on
+    the 3n letter variables only, so on Ring(n) alone."""
+    if ring.aux:
+        raise ValueError("%s defined on the plain 3-letter ring Ring(%d), "
+                         "not %r" % (what, ring.n, ring))
+    return ring
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +437,7 @@ class Polynomial:
 # ---------------------------------------------------------------------------
 # text format: signed rational coefficients, '*'-separated variable powers
 
-_VAR_RE = re.compile(r"^([wxyz])(\d+)(?:\^(\d+))?$")
+_VAR_RE = re.compile(r"^([xyz])(\d+)(?:\^(\d+))?$")
 _NUM_RE = re.compile(r"^\d+(?:/\d+)?$")
 
 

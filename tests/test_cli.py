@@ -155,6 +155,18 @@ def test_decompose_outside_its_domain_exits_2(tmp_path, capsys, text):
     assert captured.err.startswith("error: ") and not captured.out
 
 
+@pytest.mark.parametrize("text, extra", [
+    ("w1*x2 - x1*y2\n", []), ("w2\n", []), ("w1*x2 - x1*y2\n", ["--n", "2"]),
+])
+def test_w_variable_file_exits_2(tmp_path, capsys, text, extra):
+    # the world coordinates are not variables of the ring of any file
+    path = tmp_path / "w.txt"
+    path.write_text(text)
+    assert main(["gb", str(path)] + extra) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and not captured.out
+
+
 @pytest.mark.parametrize("argv", [
     ["gb", "{m}", "--out", "{blocker}/x.json"],
     ["hilbscheme", "census", "--n", "2", "--out", "{blocker}/census"],

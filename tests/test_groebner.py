@@ -107,13 +107,14 @@ def test_eliminate_nothing_is_identity():
 
 
 def _fourbyfour_minors():
-    ring = Ring(4, extended=True)
-    rows = [["w1", "x2", "x3", "x4"],
-            ["x1", "w2", "y3", "y4"],
-            ["y1", "y2", "w3", "z4"],
-            ["z1", "z2", "z3", "w4"]]
-    entries = [[Polynomial.variable(ring, s[0], int(s[1])) for s in row]
-               for row in rows]
+    # the diagonal unknowns are the aux variables t1..t4
+    ring = Ring(4, aux=4)
+    rows = [["t1", "x2", "x3", "x4"],
+            ["x1", "t2", "y3", "y4"],
+            ["y1", "y2", "t3", "z4"],
+            ["z1", "z2", "z3", "t4"]]
+    entries = [[Polynomial.monomial(ring, m_from_pairs([(ring.index(s), 1)]))
+                for s in row] for row in rows]
     gens = []
     for r1, r2 in itertools.combinations(range(4), 2):
         for c1, c2 in itertools.combinations(range(4), 2):
@@ -131,12 +132,9 @@ EXPECTED_TORIC4 = [
 
 def test_eliminate_diagonal_unknowns_gives_toric_ideal():
     ring, gens = _fourbyfour_minors()
-    n = ring.n
-    elim = eliminate(ideal(ring, gens), range(n, ring.nvars))
     base = Ring(4)
-    mapped = [Polynomial(base, {tuple((v - n, e) for v, e in m): c
-                                for m, c in p.terms.items()})
-              for p in elim.generators]
+    elim = eliminate(ideal(ring, gens), range(base.nvars))
+    mapped = [p.in_ring(base) for p in elim.generators]
     expected = [P(base, s) for s in EXPECTED_TORIC4]
     assert ideal_equal(ideal(base, mapped), ideal(base, expected))
     mins = minimal_generators(ideal(base, mapped))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from mvgb.groebner import permuted_block_lex_orders
 from mvgb.hilbscheme import monomial_ideal_census
 from mvgb.monomial import (
     MonomialIdeal, canonical_form, collinear_initial_ideal,
@@ -306,6 +307,24 @@ def test_orbit_entry_points_reject_non_squarefree_ideals():
                  lambda: symmetry_classes([I, squarefree])):
         with pytest.raises(ValueError, match="squarefree"):
             call()
+
+
+_AUX = Ring(2, aux=1)
+_AUX_IDEAL = MonomialIdeal(_AUX, [parse_monomial(_AUX, "x1*x2")])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: canonical_form(_AUX_IDEAL),
+    lambda: canonical_form(MonomialIdeal(_AUX, [])),
+    lambda: symmetry_orbits([_AUX_IDEAL]),
+    lambda: symmetry_classes([_AUX_IDEAL]),
+    lambda: is_borel_fixed(_AUX_IDEAL),
+    lambda: permuted_block_lex_orders(_AUX),
+], ids=["canonical_form", "canonical_form_empty", "symmetry_orbits",
+        "symmetry_classes", "is_borel_fixed", "permuted_block_lex_orders"])
+def test_symmetry_entry_points_reject_aux_rings(call):
+    with pytest.raises(ValueError, match=r"plain 3-letter ring Ring\(2\)"):
+        call()
 
 
 def test_orbit_of_bilinear_ideals():

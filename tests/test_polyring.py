@@ -231,13 +231,17 @@ def test_leading_term_examples():
         Polynomial.zero(R3).leading_term(o)
 
 
-def test_extended_ring_w_block():
-    r = Ring(2, extended=True)
-    assert r.nvars == 8
-    assert r.name(0) == "w1"
-    assert r.multidegree(parse_monomial(r, "w1*x2")) == (1, 1)
+def test_w_is_not_a_letter():
+    assert Ring.letters == ("x", "y", "z")
+    r = Ring(2, aux=1)
+    assert r.nvars == 7 and r.name(6) == "t1"
     with pytest.raises(ValueError):
-        R3.var("w", 1)
+        r.multidegree(m_from_pairs([(6, 1)]))
+    for call in (lambda: R3.var("w", 1),
+                 lambda: parse_polynomial(R3, "w1*x2 - x1"),
+                 lambda: parse_monomial(R3, "w1")):
+        with pytest.raises(ValueError):
+            call()
 
 
 @settings(max_examples=100)
