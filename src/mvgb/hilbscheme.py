@@ -43,7 +43,8 @@ def _groups(blocks, psi):
     """(groups, supersets) for _search.  One group per profile of a nonempty
     support, in level order: its supports, the bits of its supports, its
     count psi, and the (bits, psi) of every other profile componentwise
-    above it, which alone receive supersets of its supports."""
+    above it, which alone receive supersets of its supports.  A profile
+    whose psi is all its supports cannot exceed it and is left out."""
     nv = sum(len(b) for b in blocks)
     block_masks = [sum(1 << v for v in b) for b in blocks]
     masks = {}
@@ -54,7 +55,8 @@ def _groups(blocks, psi):
     groups = []
     for k in sorted(masks, key=lambda k: (sum(k), k)):
         above = [(bits[h], psi[h]) for h in masks
-                 if h != k and all(a >= b for a, b in zip(h, k))]
+                 if h != k and psi[h] < len(masks[h])
+                 and all(a >= b for a, b in zip(h, k))]
         groups.append((masks[k], bits[k], psi[k], above))
     full = (1 << nv) - 1
     supersets = []

@@ -418,7 +418,15 @@ class Polynomial:
         return Polynomial(self.ring, {m: fn(c) for m, c in self.terms.items()})
 
     def in_ring(self, ring):
-        """Reinterpret in a ring with the same block variables."""
+        """Reinterpret in a ring with the same block variables and every aux
+        variable that occurs."""
+        if ring.n != self.ring.n:
+            raise ValueError("%r has other block variables than %r"
+                             % (ring, self.ring))
+        top = max((v for m in self.terms for v, _ in m), default=-1)
+        if top >= ring.nvars:
+            raise ValueError("%r lacks the variable %s"
+                             % (ring, self.ring.name(top)))
         return Polynomial(ring, dict(self.terms))
 
     def domain(self):

@@ -8,7 +8,7 @@ import itertools
 from functools import reduce
 
 from .monomial import collinear_initial_ideal, standard_monomials
-from .polyring import Ring, format_monomial, m_from_pairs, m_lcm
+from .polyring import Ring, format_monomial, m_deg, m_from_pairs, m_lcm
 
 __all__ = [
     "tangent_dimension", "collinear_tangent_maps",
@@ -22,19 +22,6 @@ def _exp_diff(m, g):
     for v, e in g:
         acc[v] = acc.get(v, 0) - e
     return tuple(sorted((v, d) for v, d in acc.items() if d))
-
-
-def _shift(mono, diff):
-    """mono * x^diff, for a multiple mono of a monomial that x^diff keeps
-    nonnegative."""
-    acc = dict(mono)
-    for v, d in diff:
-        e = acc.get(v, 0) + d
-        if e:
-            acc[v] = e
-        else:
-            del acc[v]
-    return tuple(sorted(acc.items()))
 
 
 def _weight_blocks(I):
@@ -63,14 +50,39 @@ def _free_components(I, subsets):
     of weight d are spanned by the components that hold no zeroed vertex,
     one map each (c_g = 1 on the component), so their number is the
     dimension of Hom(I, S/I)_0.
+
+    Monomials are packed into ints, one field of w bits per variable, with
+    2D < 2^(w-1) for the largest generator degree D.  Every field of
+    L*x^d lies in [0, 2D], as g divides L and g*x^d is standard, so L*x^d
+    is the sum of L and the signed packed d.  A guard bit atop each field
+    makes a divisibility test one subtraction, and each product is tested
+    against the generators once per call: the same one recurs across
+    shifts.
     """
+    width = (2 * max(map(m_deg, I.gens), default=0) + 1).bit_length() + 1
+    guard = sum(1 << (v * width + width - 1) for v in range(I.ring.nvars))
+
+    def pack(pairs):
+        return sum(e << v * width for v, e in pairs)
+
+    packed = [pack(g) for g in I.gens]
+    known = {}
+
+    def in_ideal(x):
+        hit = known.get(x)
+        if hit is None:
+            top = x | guard
+            hit = known[x] = any((top - q) & guard == guard for q in packed)
+        return hit
+
     through = {}
     for A in subsets:
-        L = reduce(m_lcm, A)
+        L = pack(reduce(m_lcm, A))
         for g in A:
             through.setdefault(g, []).append((A, L))
     out = []
     for d, members in _weight_blocks(I):
+        shift = pack(d)
         parent = {g: g for g in members}
 
         def find(g):
@@ -82,7 +94,7 @@ def _free_components(I, subsets):
         for g in members:
             for A, L in through.get(g, ()):
                 inside = [h for h in A if h in parent]
-                if inside[0] != g or _shift(L, d) in I:
+                if inside[0] != g or in_ideal(L + shift):
                     continue  # met from its first vertex, or no constraint
                 for h in inside[1:]:
                     parent[find(h)] = find(g)

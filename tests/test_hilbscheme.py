@@ -1,13 +1,14 @@
 import hashlib
 import itertools
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvgb.hilbscheme import (
-    _groups, _search, census, census_hash, has_multiview_hilbert_function,
-    monomial_ideal_census,
+    _census_psi, _groups, _search, census, census_hash,
+    has_multiview_hilbert_function, monomial_ideal_census,
 )
 from mvgb.monomial import (
     MonomialIdeal, collinear_initial_ideal, generic_initial_ideal,
@@ -154,3 +155,28 @@ def test_search_matches_brute_force_up_sets(sizes, data):
     assert len(set(upsets)) == len(upsets)
     assert set(upsets) == _brute_up_sets(profile, psi, nv)
     assert target in set(upsets)
+
+
+def test_groups_leave_out_only_caps_that_cannot_bind():
+    """Of the 873 pairs (profile, profile above it) at n = 3, _groups checks
+    439: every one left out has psi equal to its profile's support count,
+    so no pick can exceed it."""
+    ring = Ring(3)
+    psi = _census_psi(ring)
+    groups, _ = _groups(ring.blocks(), psi)
+    profiles = sorted((k for k in psi if any(k)), key=lambda k: (sum(k), k))
+    size = {k: prod(comb(3, a) for a in k) for k in profiles}
+    of_bits = {bits: k for k, (_, bits, _, _) in zip(profiles, groups)}
+    assert [len(masks) for masks, _, _, _ in groups] == \
+        [size[k] for k in profiles]
+    kept = dropped = 0
+    for k, (_, _, _, above) in zip(profiles, groups):
+        checked = {of_bits[bits]: cap for bits, cap in above}
+        assert all(cap == psi[h] < size[h] for h, cap in checked.items())
+        for h in profiles:
+            if h != k and all(a >= b for a, b in zip(h, k)) \
+                    and h not in checked:
+                assert psi[h] == size[h]
+                dropped += 1
+        kept += len(checked)
+    assert (kept, kept + dropped) == (439, 873)

@@ -362,6 +362,17 @@ def test_mixed_ring_rejected():
         parse_polynomial(R3, "x1") * parse_polynomial(r2, "x1")
 
 
+def test_in_ring_rejects_variables_the_ring_lacks():
+    aux = Polynomial.monomial(Ring(2, aux=1), ((6, 1),))
+    with pytest.raises(ValueError, match=r"Ring\(2\) lacks the variable t1"):
+        aux.in_ring(Ring(2))
+    with pytest.raises(ValueError, match=r"Ring\(3\)"):
+        parse_polynomial(Ring(2), "x1").in_ring(Ring(3))
+    p = parse_polynomial(Ring(2), "x1*y2 - 1/2*z2^2")
+    back = p.in_ring(Ring(2, aux=1)).in_ring(Ring(2))
+    assert back == p and str(back) == str(p)
+
+
 def test_equal_polynomials_over_q_and_q_e_hash_alike():
     m = mono(R3, "x1*y2")
     over_qe = Polynomial(R3, {m: EpsRational(1, 2), m_one: EpsRational(-3)})

@@ -245,3 +245,39 @@ def test_weight_graph_count_matches_dense_oracle(I):
     d = tangent_dimension(I)
     assert tangent_dimension_with_triples(I) == d
     assert brute_tangent_dimension(I) == d
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.lists(st.tuples(*[st.sampled_from(
+    [e for e in itertools.product(range(5), repeat=3) if sum(e) <= 4])] * 2),
+    min_size=1, max_size=3))
+def test_packed_fields_hold_high_exponents(rows):
+    """Exponents up to 4, with degree up to 4 in each camera: the packed
+    field width, negative shifts and the guard-bit divisibility test agree
+    with the dense oracle."""
+    ring = Ring(2)
+    gens = [m_from_pairs((ring.var(L, c), e)
+                         for c, part in ((1, a), (2, b))
+                         for L, e in zip(ring.letters, part) if e)
+            for a, b in rows if any(a + b)]
+    assume(gens)
+    I = MonomialIdeal(ring, gens)
+    d = tangent_dimension(I)
+    assert tangent_dimension_with_triples(I) == d
+    assert brute_tangent_dimension(I) == d
+
+
+@pytest.mark.parametrize("text, expected", [
+    (("x1^3*y2", "x1*y2^4", "z1^2*z2^2"), 57),
+    (("x1^4*x2", "y1^2*z1*y2^2"), 103),
+    (("z1^4*z2", "x1*z1^2*x2^3"), 51),
+    # fields of L*x^d above D: x1^8 and z1^8 for the lcm x1^4*z1^4*x2*z2^2
+    (("x1^4*x2", "z1^4*z2^2"), 130),
+    (("z1^3", "z1*z2^4", "x2^4*z1^2"), 33),
+])
+def test_packed_fields_on_named_high_exponent_ideals(text, expected):
+    ring = Ring(2)
+    I = MonomialIdeal(ring, [parse_monomial(ring, t) for t in text])
+    assert tangent_dimension(I) == expected
+    assert tangent_dimension_with_triples(I) == expected
+    assert brute_tangent_dimension(I) == expected
