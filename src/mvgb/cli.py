@@ -178,7 +178,7 @@ def cmd_gb(args):
     order = _order_for(I, args.order)
     basis = gb.reduced_groebner_basis(I, order)
     _emit({"schema_version": SCHEMA_VERSION,
-           "basis": [format_polynomial(p) for p in basis],
+           "basis": [format_polynomial(p, order) for p in basis],
            "initial_ideal": [format_monomial(I.ring, m) for m in
                              gb.initial_ideal(I, order).gens]},
           args.out)

@@ -10,10 +10,10 @@ from dataclasses import dataclass
 from math import comb, prod
 
 from .monomial import (
-    MonomialIdeal, generic_initial_ideal, ideal_key, ideal_lines,
+    MonomialIdeal, _sort_key, generic_initial_ideal, ideal_key,
     multiview_hilbert_mismatch, standard_profiles, symmetry_orbits,
 )
-from .polyring import Ring
+from .polyring import Ring, format_monomial
 from .tangent import tangent_dimension
 
 __all__ = [
@@ -113,7 +113,10 @@ def monomial_ideal_census(n):
     nv = ring.nvars
     monos = [tuple((v, 1) for v in range(nv) if S >> v & 1)
              for S in range(1 << nv)]
-    ideals = [MonomialIdeal(ring, [monos[S] for S in gens])
+    # each answer is an antichain already; sort it by a per-support key
+    key = list(map(_sort_key(ring), monos))
+    ideals = [MonomialIdeal._of_minimal(
+                  ring, [monos[S] for S in sorted(gens, key=key.__getitem__)])
               for gens in _search(*_groups(ring.blocks(), _census_psi(ring)))]
     ideals.sort(key=ideal_key)
     return ideals
@@ -149,6 +152,12 @@ def census(n, tangent=False):
 
 
 def census_hash(ideals):
-    """Content hash of the canonically serialized census."""
-    text = "\n".join(", ".join(ideal_lines(I)) for I in ideals)
-    return hashlib.sha256(text.encode()).hexdigest()
+    """Content hash of the census serialized by ideal_lines."""
+    names, lines = {}, []   # names: ring -> monomial -> its text, made once
+    for I in ideals:
+        known = names.setdefault(I.ring, {})
+        for g in I.gens:
+            if g not in known:
+                known[g] = format_monomial(I.ring, g)
+        lines.append(", ".join([known[g] for g in I.gens]))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()

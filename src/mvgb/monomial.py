@@ -65,6 +65,14 @@ class MonomialIdeal:
         self.gens = tuple(minimal)
         self._tests = None
 
+    @classmethod
+    def _of_minimal(cls, ring, gens):
+        """The ideal of gens, taken as its minimal generators already in
+        _sort_key order: no filter, no sort."""
+        I = cls.__new__(cls)
+        I.ring, I.gens, I._tests = ring, tuple(gens), None
+        return I
+
     def __contains__(self, mono):
         # A generator divides mono only if its support is a subset of mono's.
         # For a squarefree generator (stored as None) that is the whole test;
@@ -593,7 +601,10 @@ def _orbit_key(I):
     plain_ring(I.ring, "symmetry orbits")
     if not I.is_squarefree():
         raise ValueError("orbits implemented for squarefree ideals")
-    return _packed_rows([sorted(I.support_masks())])[0]
+    key = 1
+    for mask in sorted(I.support_masks()):
+        key = key << 16 | mask
+    return key
 
 
 def _orbit_image_keys(I):

@@ -472,11 +472,13 @@ def _coeff_str(c, mono_str):
     return s if mono_str == "1" else "%s*%s" % (s, mono_str)
 
 
-def format_polynomial(p):
+def format_polynomial(p, order=None):
+    """The terms in descending order under order (default block order)."""
     if not p.terms:
         return "0"
     out = []
-    for m in sorted(p.terms, key=block_order(p.ring).key, reverse=True):
+    order = order or block_order(p.ring)
+    for m in sorted(p.terms, key=order.key, reverse=True):
         s = _coeff_str(p.terms[m], format_monomial(p.ring, m))
         if not out:
             out.append(s)

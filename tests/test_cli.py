@@ -73,6 +73,18 @@ def test_order_spec(tmp_path, capsys):
     assert rc == 0 and payload["initial_ideal"] == ["x2*y1"]
 
 
+def test_gb_prints_terms_in_the_chosen_order(tmp_path, capsys):
+    # the monic leading term under the order comes first; under the
+    # default block order the element prints as before
+    path = tmp_path / "i.txt"
+    path.write_text("x1^2 - x1*y1\n")
+    rc, payload = run(capsys, "gb", str(path), "--order",
+                      "weight:[-1,0,0,0,0,0]")
+    assert rc == 0 and payload["basis"] == ["x1*y1 - x1^2"]
+    rc, payload = run(capsys, "gb", str(path))
+    assert rc == 0 and payload["basis"] == ["x1^2 - x1*y1"]
+
+
 def test_decompose_and_complex(tmp_path, capsys):
     path = tmp_path / "m3.txt"
     path.write_text("x1*x2\nx1*x3\nx2*x3\nx1*y2*y3\nx2*y1*y3\nx3*y1*y2\n")

@@ -66,6 +66,16 @@ def test_three_camera_census(census3):
 
 
 @pytest.mark.slow
+def test_census_ideals_from_masks_match_the_constructor(census3):
+    """The census builds each ideal from the search's support masks, sorted
+    by a per-support key and not filtered again; the general constructor
+    must give the same generators in the same order."""
+    for ideals in (monomial_ideal_census(2), census3.ideals):
+        for I in ideals:
+            assert I.gens == MonomialIdeal(I.ring, I.gens).gens
+
+
+@pytest.mark.slow
 def test_three_camera_orbit_table(census3):
     table = "\n".join("%s | %d" % (", ".join(ideal_lines(rep)), len(members))
                       for rep, members in census3.orbits)

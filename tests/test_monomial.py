@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from mvgb.groebner import permuted_block_lex_orders
 from mvgb.hilbscheme import monomial_ideal_census
 from mvgb.monomial import (
-    MonomialIdeal, canonical_form, collinear_initial_ideal,
+    MonomialIdeal, _orbit_image_keys, _orbit_key, _packed_rows,
+    canonical_form, collinear_initial_ideal,
     generic_initial_ideal, generic_shelling_order, ideal_key, is_borel_fixed,
     is_shelling, minimal_primes, multidegree_support,
     multiview_hilbert_function, multiview_hilbert_mismatch, relabel,
@@ -457,3 +458,14 @@ def test_canonical_form_matches_explicit_orbit(data):
     label, size = canonical_form(I)
     assert size == len(images)
     assert label == min(tuple(sorted(J.support_masks())) for J in images)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_orbit_key_is_the_packed_sorted_masks(data):
+    # the int-shift key of an ideal is the packed row of its own sorted
+    # masks, so it is among the keys of its images
+    I = data.draw(ideals(Ring(data.draw(st.integers(2, 4)))))
+    key = _orbit_key(I)
+    assert key == _packed_rows([sorted(I.support_masks())])[0]
+    assert key in _orbit_image_keys(I)
