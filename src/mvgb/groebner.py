@@ -475,13 +475,6 @@ def intersect(I, J):
 def hilbert_value(I, u):
     """Number of standard monomials of multidegree u: the value at u of the
     multigraded Hilbert function of the quotient by I."""
-    if isinstance(I, MonomialIdeal):
-        return standard_monomial_count(I, u)
-    I = _as_ideal(I)
-    if all(len(p.terms) == 1 for p in I.generators):
-        mono = MonomialIdeal(I.ring, [next(iter(p.terms))
-                                      for p in I.generators])
-        return standard_monomial_count(mono, u)
     return standard_monomial_count(initial_ideal(I), u)
 
 

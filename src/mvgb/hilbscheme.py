@@ -10,8 +10,8 @@ from dataclasses import dataclass
 from math import comb, prod
 
 from .monomial import (
-    MonomialIdeal, _sort_key, generic_initial_ideal, ideal_key,
-    multiview_hilbert_mismatch, standard_profiles, symmetry_orbits,
+    MonomialIdeal, _sort_key, ideal_key, multiview_hilbert_mismatch,
+    multiview_profiles, symmetry_orbits,
 )
 from .polyring import Ring, format_monomial
 from .tangent import tangent_dimension
@@ -24,18 +24,13 @@ __all__ = [
 
 def _census_psi(ring):
     """Per profile of a squarefree support (its count of variables in each
-    block), how many supports of that profile lie in the ideal."""
-    # the closed form's counts of standard support patterns per profile
-    # are those of any squarefree ideal that has it on the box, such as M_n
-    generic = generic_initial_ideal(ring.n)
-    if multiview_hilbert_mismatch(generic) is not None:
-        raise AssertionError("generic initial ideal misses the closed form")
-    phi = standard_profiles(generic)
-    psi = {}
-    for k in itertools.product(range(4), repeat=ring.n):
-        psi[k] = prod(comb(3, ki) for ki in k) - phi[k]
-        if psi[k] < 0:
-            raise AssertionError("negative deficit; closed form inconsistent")
+    block), how many supports of that profile lie in the ideal: all of them
+    but the standard ones of multiview_profiles."""
+    phi = multiview_profiles(ring.n)
+    psi = {k: prod(comb(3, ki) for ki in k) - phi.get(k, 0)
+           for k in itertools.product(range(4), repeat=ring.n)}
+    if min(psi.values()) < 0:
+        raise AssertionError("negative deficit; closed form inconsistent")
     return psi
 
 

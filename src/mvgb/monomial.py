@@ -7,7 +7,9 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb, prod
+from types import MappingProxyType
 
 from .polyring import (
     Polynomial, Ring, format_monomial, m_deg, m_div, m_divides, m_exp,
@@ -18,8 +20,8 @@ __all__ = [
     "MonomialIdeal", "generic_initial_ideal", "collinear_initial_ideal",
     "multiview_hilbert_function", "standard_monomials",
     "standard_monomial_count", "standard_count_box",
-    "multiview_hilbert_mismatch", "standard_profiles", "minimal_primes",
-    "multidegree_support", "is_borel_fixed", "FacetComplex",
+    "multiview_hilbert_mismatch", "multiview_profiles", "standard_profiles",
+    "minimal_primes", "multidegree_support", "is_borel_fixed", "FacetComplex",
     "stanley_reisner_complex", "is_shelling", "generic_shelling_order",
     "relabel", "symmetry_orbits", "ideal_key",
 ]
@@ -181,7 +183,7 @@ def multiview_hilbert_function(n, u):
 
 def standard_monomials(I, u):
     """All monomials of multidegree u outside the ideal."""
-    ring = I.ring
+    ring = plain_ring(I.ring, "standard monomials")
     if len(u) != ring.n:
         raise ValueError("multidegree length mismatch")
     out = []
@@ -194,11 +196,39 @@ def standard_monomials(I, u):
     return out
 
 
-def _support_row(u, size):
-    """C(u-1, k-1) for k <= size: the number of monomials of degree u on a
+def _support_row(u):
+    """C(u-1, k-1) for k <= 3: the number of monomials of degree u on a
     block whose support is one given set of k variables (1 for u = k = 0)."""
-    return [comb(u - 1, k - 1) if u and k else int(u == k)
-            for k in range(size + 1)]
+    return [comb(u - 1, k - 1) if u and k else int(u == k) for k in range(4)]
+
+
+def _contract(table, rows, n):
+    """Contract each of the n axes of a tensor {index tuple: entry} with the
+    matrix rows: index j of an axis gets sum_i rows[j][i] * entry at i."""
+    for axis in range(n):
+        new = {}
+        for key, cnt in table.items():
+            for j, row in enumerate(rows):
+                f = row[key[axis]]
+                if f:
+                    nk = key[:axis] + (j,) + key[axis + 1:]
+                    new[nk] = new.get(nk, 0) + f * cnt
+        table = new
+    return table
+
+
+@lru_cache(maxsize=None)
+def multiview_profiles(n):
+    """The standard_profiles of every squarefree ideal with
+    multiview_hilbert_function, read-only, from the closed form alone: per
+    axis, T[u][k] = C(u-1, k-1) (u, k <= 3) maps pattern counts to box
+    counts, and its inverse is (-1)^(k-u) C(k-1, u-1)."""
+    box = {u: multiview_hilbert_function(n, u)
+           for u in itertools.product(range(4), repeat=n)}
+    inverse = [[(-1) ** (k - u) * c for u, c in enumerate(_support_row(k))]
+               for k in range(4)]
+    return MappingProxyType({k: c for k, c in _contract(box, inverse, n).items()
+                             if c})
 
 
 def standard_profiles(I):
@@ -244,7 +274,7 @@ def standard_monomial_count(I, u):
     generators, v-free, and v^D times their standard monomials of degree
     u - D counts that whole tail.  Each branch leaves v squarefree.
     """
-    if len(u) != I.ring.n:
+    if len(u) != plain_ring(I.ring, "standard counts").n:
         raise ValueError("multidegree length mismatch")
     return _split_count(I, tuple(u), {}, {})
 
@@ -260,7 +290,7 @@ def _split_count(I, u, counts, profiles):
         table = profiles.get(I.gens)
         if table is None:
             table = profiles[I.gens] = standard_profiles(I)
-        rows = [_support_row(d, len(b)) for b, d in zip(ring.blocks(), u)]
+        rows = [_support_row(d) for d in u]
         return sum(cnt * prod(row[k] for row, k in zip(rows, sizes))
                    for sizes, cnt in table.items())
     v = next(w for g in I.gens for w, e in g if e > 1)
@@ -285,34 +315,18 @@ def _split_count(I, u, counts, profiles):
 
 
 def standard_count_box(I, bound=3):
-    """Table of standard-monomial counts for every multidegree u <= bound.
-
-    For squarefree generators the counts are derived from the census of
-    standard support patterns, aggregated by per-block support size.
-    Otherwise every entry is split as in standard_monomial_count, the
-    entries sharing one memo of the ideals and degrees met.
-    """
-    n = I.ring.n
+    """Table of standard-monomial counts for every multidegree u <= bound:
+    for squarefree generators, the standard pattern counts contracted per
+    axis; otherwise every entry split as in standard_monomial_count, the
+    entries sharing one memo of the ideals and degrees met."""
+    n = plain_ring(I.ring, "standard counts").n
+    box = itertools.product(range(bound + 1), repeat=n)
     if not I.is_squarefree():
         counts, profiles = {}, {}
-        return {u: _split_count(I, u, counts, profiles)
-                for u in itertools.product(range(bound + 1), repeat=n)}
-    table = standard_profiles(I)
-    # contract the size-count tensor against T[u][k] = C(u-1, k-1) per axis
-    T = [_support_row(u, len(I.ring.blocks()[0])) for u in range(bound + 1)]
-    for axis in range(n):
-        new = {}
-        for key, cnt in table.items():
-            for u in range(bound + 1):
-                f = T[u][key[axis]]
-                if f:
-                    nk = key[:axis] + (u,) + key[axis + 1:]
-                    new[nk] = new.get(nk, 0) + f * cnt
-        table = new
-    box = {}
-    for u in itertools.product(range(bound + 1), repeat=n):
-        box[u] = table.get(u, 0)
-    return box
+        return {u: _split_count(I, u, counts, profiles) for u in box}
+    table = _contract(standard_profiles(I),
+                      [_support_row(u) for u in range(bound + 1)], n)
+    return {u: table.get(u, 0) for u in box}
 
 
 def multiview_hilbert_mismatch(I):
@@ -320,15 +334,16 @@ def multiview_hilbert_mismatch(I):
     differs from multiview_hilbert_function; None when the whole box agrees.
 
     Requires squarefree generators.  The box u <= 3 then decides every
-    multidegree: both counts are sums over per-block support sizes k <= 3 of
-    pattern counts times C(u_i - 1, k_i - 1), and the box fixes the counts.
+    multidegree.  It is read off the pattern counts: the box is them times
+    a lower unitriangular matrix per axis (see multiview_profiles), so the
+    first profile whose count differs is the first such multidegree.
     """
+    n = plain_ring(I.ring, "Hilbert function tests").n
     if not I.is_squarefree():
         raise ValueError("the box decides only for squarefree generators")
-    n = I.ring.n
-    box = standard_count_box(I)
-    return next((u for u, got in box.items()
-                 if got != multiview_hilbert_function(n, u)), None)
+    got, want = standard_profiles(I), multiview_profiles(n)
+    return next((k for k in itertools.product(range(4), repeat=n)
+                 if got[k] != want.get(k, 0)), None)
 
 
 # ---------------------------------------------------------------------------
@@ -455,12 +470,10 @@ def stanley_reisner_complex(I):
     return FacetComplex(ring, facets, labels)
 
 
-def is_shelling(facets, order=None):
+def is_shelling(facets):
     """Check that the facet sequence is a shelling: every facet after the
     first has a unique minimal face not contained in earlier facets."""
-    if isinstance(facets, FacetComplex):
-        facets = facets.facets
-    facets = [frozenset(f) for f in (order if order is not None else facets)]
+    facets = [frozenset(f) for f in facets]
     for a, b in itertools.combinations(facets, 2):
         if a <= b or b <= a:
             raise ValueError("facet list contains a containment")
@@ -551,20 +564,13 @@ def canonical_form(I):
     """The lexicographically minimal sorted support masks over the images of
     a squarefree ideal under the whole group, and the size of its orbit
     (the number of distinct images)."""
-    plain_ring(I.ring, "canonical forms")
-    if not I.is_squarefree():
-        raise ValueError("orbits implemented for squarefree ideals")
-    if not I.gens:
-        return (), 1
-    import numpy as np
-
-    keys = _mask_images(I)
-    best = int(np.lexsort(keys.T[::-1])[0])
-    # orbit-stabilizer: the orbit has |G| / #{g : g(I) = I} elements; the
-    # first group element is the identity
-    fixed = keys[keys[:, 0] == keys[0, 0]]
-    stabilizer = int((fixed == keys[0]).all(axis=1).sum())
-    return tuple(int(x) for x in keys[best]), len(keys) // stabilizer
+    _orbit_key(I)   # the input checks of symmetry_orbits
+    keys = _orbit_image_keys(I)
+    key, masks = min(keys), []   # keys of one length: least key, least masks
+    while key > 1:
+        key, mask = divmod(key, 1 << 16)
+        masks.append(mask)
+    return tuple(masks[::-1]), len(keys)
 
 
 def _mask_images(I):
@@ -628,6 +634,9 @@ def symmetry_orbits(ideals, strict=False):
     ideals = list(ideals)
     index = {}   # orbit key -> input positions; a duplicate adds a position
     for pos, I in enumerate(ideals):
+        if I.ring != ideals[0].ring:
+            raise ValueError("ideals from different rings: %r and %r"
+                             % (ideals[0].ring, I.ring))
         index.setdefault(_orbit_key(I), []).append(pos)
     orbits = []
     for I in ideals:

@@ -5,16 +5,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mvgb.groebner import permuted_block_lex_orders
+from mvgb.groebner import hilbert_value, permuted_block_lex_orders
 from mvgb.hilbscheme import monomial_ideal_census
 from mvgb.monomial import (
     MonomialIdeal, _orbit_image_keys, _orbit_key, _packed_rows,
     canonical_form, collinear_initial_ideal,
     generic_initial_ideal, generic_shelling_order, ideal_key, is_borel_fixed,
     is_shelling, minimal_primes, multidegree_support,
-    multiview_hilbert_function, multiview_hilbert_mismatch, relabel,
-    standard_count_box, standard_monomial_count, standard_monomials,
-    stanley_reisner_complex, symmetry_orbits,
+    multiview_hilbert_function, multiview_hilbert_mismatch,
+    multiview_profiles, relabel, standard_count_box, standard_monomial_count,
+    standard_monomials, standard_profiles, stanley_reisner_complex,
+    symmetry_orbits,
 )
 from mvgb.polyring import (
     Ring, m_divides, m_from_pairs, m_mul, m_one, parse_monomial,
@@ -162,6 +163,32 @@ def test_box_table_matches_closed_form():
             h = multiview_hilbert_function(n, u)
             assert boxM[u] == h
             assert boxN[u] == h
+
+
+def test_multiview_profiles_are_those_of_both_distinguished_ideals():
+    for n in range(2, 7):
+        table = multiview_profiles(n)
+        assert table == standard_profiles(generic_initial_ideal(n))
+        assert table == standard_profiles(collinear_initial_ideal(n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_hilbert_mismatch_is_the_first_differing_box_entry(data):
+    # the box of standard counts is the oracle for the pattern comparison
+    n = data.draw(st.integers(2, 4))
+    ring = Ring(n)
+    M = generic_initial_ideal(n)
+    # generators near M_n's, so that some ideals agree on the whole box
+    kept = data.draw(st.lists(st.sampled_from(M.gens), unique=True))
+    extra = data.draw(st.lists(st.sets(st.integers(0, ring.nvars - 1),
+                                       min_size=1, max_size=4), max_size=3))
+    I = MonomialIdeal(ring, kept + [m_from_pairs((v, 1) for v in s)
+                                    for s in extra])
+    box = standard_count_box(I, 3)
+    assert multiview_hilbert_mismatch(I) == next(
+        (u for u, got in box.items()
+         if got != multiview_hilbert_function(n, u)), None)
 
 
 def test_hilbert_mismatch_names_first_multidegree():
@@ -321,11 +348,26 @@ _AUX_IDEAL = MonomialIdeal(_AUX, [parse_monomial(_AUX, "x1*x2")])
     lambda: symmetry_classes([_AUX_IDEAL]),
     lambda: is_borel_fixed(_AUX_IDEAL),
     lambda: permuted_block_lex_orders(_AUX),
+    lambda: multiview_hilbert_mismatch(_AUX_IDEAL),
+    lambda: standard_monomial_count(_AUX_IDEAL, (1, 1)),
+    lambda: standard_monomials(_AUX_IDEAL, (1, 1)),
+    lambda: standard_count_box(_AUX_IDEAL),
+    lambda: hilbert_value(_AUX_IDEAL, (1, 1)),
 ], ids=["canonical_form", "canonical_form_empty", "symmetry_orbits",
-        "symmetry_classes", "is_borel_fixed", "permuted_block_lex_orders"])
+        "symmetry_classes", "is_borel_fixed", "permuted_block_lex_orders",
+        "multiview_hilbert_mismatch", "standard_monomial_count",
+        "standard_monomials", "standard_count_box", "hilbert_value"])
 def test_symmetry_entry_points_reject_aux_rings(call):
     with pytest.raises(ValueError, match=r"plain 3-letter ring Ring\(2\)"):
         call()
+
+
+def test_orbit_entry_points_reject_mixed_rings():
+    ideals = [MonomialIdeal(r, [parse_monomial(r, "x1*x2")])
+              for r in (Ring(2), Ring(3))]
+    for call in (symmetry_orbits, symmetry_classes):
+        with pytest.raises(ValueError, match=r"Ring\(2\) and Ring\(3\)"):
+            call(ideals)
 
 
 def test_orbit_of_bilinear_ideals():
