@@ -67,12 +67,17 @@ def _groups(blocks, psi):
     return groups, supersets
 
 
-def _search(groups, supersets):
+def _search(groups, supersets, chosen=()):
     """Every tuple of generator supports whose up-set holds psi supports of
     each group's profile.  Only a group whose count is still short picks
     supports; after each pick, the profiles above it must stay within
-    their counts."""
-    results = []
+    their counts.  Given picks in chosen, the search starts from their
+    up-set and finds the answers that extend it ([] if it breaks a count)."""
+    results, up = [], 0
+    for S in chosen:
+        up |= supersets[S]
+    if any((up & bits).bit_count() > psi for _, bits, psi, _ in groups):
+        return results
 
     def walk(first, forced, chosen):
         for g in range(first, len(groups)):
@@ -94,25 +99,49 @@ def _search(groups, supersets):
                 else:
                     pick(g, free, i + 1, need - 1, above, f, chosen + (S,))
 
-    walk(0, 0, ())
+    walk(0, up, tuple(chosen))
     return results
+
+
+def _swap_table(ring, S, T):
+    """Each support mask's image under the letter transpositions that carry
+    S's one letter onto T's in each camera (S and T of one profile)."""
+    n, nv = ring.n, ring.nvars
+    perm = list(range(nv))
+    for v in range(nv):
+        if S >> v & 1:   # w: T's letter in the camera of v
+            w = next(u for u in range(v % n, nv, n) if T >> u & 1)
+            perm[v], perm[w] = w, v
+    return [sum(1 << perm[v] for v in range(nv) if M >> v & 1)
+            for M in range(1 << nv)]
 
 
 def monomial_ideal_census(n):
     """All squarefree-generated monomial ideals with the closed-form Hilbert
-    function, by a search over generator supports that branches only where
-    a profile's count is still short."""
+    function: the search's answers through one epipolar support, mapped
+    onto those through the others by letter symmetry."""
     if n not in (2, 3):
         raise ValueError("census implemented for n = 2 and n = 3")
     ring = Ring(n)
     nv = ring.nvars
+    groups, supersets = _groups(ring.blocks(), _census_psi(ring))
+    # Per-camera letter permutations keep every profile, so they map the
+    # answers onto themselves.  The first profile that branches (e_{n-1}+e_n,
+    # the epipolar form's) has psi 1 and every one before it 0: each answer
+    # holds one of its supports T, and the answers through S0 map onto those.
+    firsts, _, psi, _ = next(g for g in groups if g[2])
+    if psi != 1:
+        raise AssertionError("first branching profile has psi %d" % psi)
+    through = _search(groups, supersets, firsts[:1])
     monos = [tuple((v, 1) for v in range(nv) if S >> v & 1)
              for S in range(1 << nv)]
     # each answer is an antichain already; sort it by a per-support key
     key = list(map(_sort_key(ring), monos))
     ideals = [MonomialIdeal._of_minimal(
-                  ring, [monos[S] for S in sorted(gens, key=key.__getitem__)])
-              for gens in _search(*_groups(ring.blocks(), _census_psi(ring)))]
+                  ring, [monos[S] for S in sorted(map(table.__getitem__, gens),
+                                                  key=key.__getitem__)])
+              for table in (_swap_table(ring, firsts[0], T) for T in firsts)
+              for gens in through]
     ideals.sort(key=ideal_key)
     return ideals
 

@@ -605,10 +605,16 @@ def _packed_rows(masks):
 def _orbit_key(I):
     """The key under which _orbit_image_keys lists the ideal itself."""
     plain_ring(I.ring, "symmetry orbits")
-    if not I.is_squarefree():
-        raise ValueError("orbits implemented for squarefree ideals")
+    masks = []
+    for g in I.gens:   # support masks and the squarefree check in one pass
+        mask = 0
+        for v, e in g:
+            if e != 1:
+                raise ValueError("orbits implemented for squarefree ideals")
+            mask |= 1 << v
+        masks.append(mask)
     key = 1
-    for mask in sorted(I.support_masks()):
+    for mask in sorted(masks):
         key = key << 16 | mask
     return key
 

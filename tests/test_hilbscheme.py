@@ -1,5 +1,7 @@
+import functools
 import hashlib
 import itertools
+import operator
 from math import comb, prod
 
 import pytest
@@ -142,9 +144,10 @@ def _brute_up_sets(profile, psi, nv):
     return found
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.sampled_from(BLOCK_SIZES), st.data())
-def test_search_matches_brute_force_up_sets(sizes, data):
+def _drawn_counts(sizes, data):
+    """Blocks of the given sizes over shuffled variables, the profile of
+    each nonempty support, a drawn up-set and its count psi per profile,
+    so at least that up-set has them."""
     nv = sum(sizes)
     perm = data.draw(st.permutations(range(nv)))
     starts = list(itertools.accumulate(sizes, initial=0))
@@ -152,11 +155,17 @@ def test_search_matches_brute_force_up_sets(sizes, data):
     gens = data.draw(st.lists(st.integers(1, (1 << nv) - 1), max_size=4))
     profile = {S: tuple(sum(S >> v & 1 for v in b) for b in blocks)
                for S in range(1, 1 << nv)}
-    # the counts of a drawn up-set, so at least that one has them
     target = _up_set(gens, nv)
     psi = dict.fromkeys(profile.values(), 0)
     for S in profile:
         psi[profile[S]] += target >> S & 1
+    return nv, blocks, profile, psi, target
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(BLOCK_SIZES), st.data())
+def test_search_matches_brute_force_up_sets(sizes, data):
+    nv, blocks, profile, psi, target = _drawn_counts(sizes, data)
     answers = _search(*_groups(blocks, psi))
     for chosen in answers:
         assert not any(S != T and S & T == S
@@ -165,6 +174,86 @@ def test_search_matches_brute_force_up_sets(sizes, data):
     assert len(set(upsets)) == len(upsets)
     assert set(upsets) == _brute_up_sets(profile, psi, nv)
     assert target in set(upsets)
+
+
+class _Reads(list):
+    """A list that counts the reads of its items."""
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(BLOCK_SIZES), st.data())
+def test_started_search_finds_the_answers_through_its_start(sizes, data):
+    """From a support S of the first profile with a positive count, the
+    search finds exactly the full answers that hold S.  Any start finds the
+    full answers whose up-set holds the start's; a start that breaks a
+    count gives [] after reading only its own up-sets."""
+    nv, blocks, profile, psi, _ = _drawn_counts(sizes, data)
+    groups, supersets = _groups(blocks, psi)
+    full = {frozenset(chosen) for chosen in _search(groups, supersets)}
+    first = next((masks for masks, _, count, _ in groups if count), [])
+    for S in first:
+        assert {frozenset(chosen)
+                for chosen in _search(groups, supersets, (S,))} == \
+            {chosen for chosen in full if S in chosen}
+    starts = [data.draw(st.lists(st.integers(1, (1 << nv) - 1),
+                                 max_size=3))]
+    full_up = {_up_set(chosen, nv) for chosen in full}
+    size = {k: sum(1 for h in profile.values() if h == k) for k in psi}
+    open_caps = sorted(k for k in psi if psi[k] < size[k])
+    if open_caps:   # one support more than a profile's count
+        k = data.draw(st.sampled_from(open_caps))
+        members = data.draw(st.permutations(
+            [S for S in profile if profile[S] == k]))
+        starts.append(members[:psi[k] + 1])
+    for start in starts:
+        up = _up_set(start, nv)
+        counted = _Reads(supersets)
+        answers = _search(groups, counted, start)
+        if any(sum(up >> S & 1 for S in profile if profile[S] == k) > psi[k]
+               for k in psi):
+            assert answers == [] and counted.reads == len(start)
+        else:
+            assert {_up_set(chosen, nv) for chosen in answers} == \
+                {u for u in full_up if u & up == up}
+
+
+@pytest.mark.parametrize("n, through", [(2, 1), (3, 1536)])
+def test_census_by_letter_symmetry_matches_the_full_search(n, through):
+    """The census searches below the first epipolar support only (1536 of
+    the 13824 answers at n = 3) and maps the answers onto the other eight;
+    its up-sets are those of the search with no start."""
+    ring = Ring(n)
+    groups, supersets = _groups(ring.blocks(), _census_psi(ring))
+
+    def up_sets(answers):
+        return {functools.reduce(operator.or_,
+                                 (supersets[S] for S in masks), 0)
+                for masks in answers}
+
+    first = next(masks for masks, _, psi, _ in groups if psi)
+    assert len(first) == 9
+    assert len(_search(groups, supersets, first[:1])) == through
+    full = _search(groups, supersets)
+    ideals = monomial_ideal_census(n)
+    assert len(ideals) == len(full) == 9 * through
+    assert up_sets(I.support_masks() for I in ideals) == up_sets(full)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_first_branching_profile_is_the_epipolar_one_with_psi_one(n):
+    """In level order the first profile with a positive count is
+    e_{n-1}+e_n, the support profile of the epipolar form, with count 1:
+    the census's letter-symmetry mapping rests on it."""
+    psi = _census_psi(Ring(n))
+    first = next(k for k in sorted(psi, key=lambda k: (sum(k), k))
+                 if psi[k])
+    assert first == (0,) * (n - 2) + (1, 1)
+    assert psi[first] == 1
 
 
 def test_groups_leave_out_only_caps_that_cannot_bind():
