@@ -1,6 +1,8 @@
 """Camera configurations and their multiview ideals: genericity tests, the
-stacked camera-variable matrices and their maximal minors, fundamental
-matrices, and the torus-fixed and collinear camera families."""
+stacked camera-variable matrices and their maximal minors, and the
+torus-fixed and collinear camera families.  The minor of a camera pair is
+the epipolar form: its coefficients are the fundamental matrix, and it is
+zero exactly when the two focal points coincide."""
 
 from __future__ import annotations
 
@@ -161,14 +163,6 @@ def focal_points(config):
     return out
 
 
-def distinct_focal_points(config):
-    fps = focal_points(config)
-    for a, b in itertools.combinations(fps, 2):
-        if projectively_equal(a.coords, b.coords):
-            return False
-    return True
-
-
 def is_generic(config):
     """All 4x4 minors of the stacked 4x3n matrix of camera transposes must be
     nonzero.  Returns (flag, witness); the witness is the column quadruple of
@@ -275,16 +269,21 @@ def _sigma_subsets(n):
 
 def multiview_generators(config):
     """All maximal minors of the stacked matrices over 2 <= |sigma| <= 4,
-    zero minors dropped; cameras in colex order, row subsets in lex order."""
-    if not distinct_focal_points(config):
-        warnings.warn("focal points are not pairwise distinct", RuntimeWarning)
-    out = []
+    zero minors dropped; cameras in colex order, row subsets in lex order.
+
+    A pair minor vanishes exactly when the two focal points coincide, so a
+    zero one raises the coincident-center warning, once per call."""
+    out, warned = [], False
     for sigma in _sigma_subsets(config.n):
         s = len(sigma)
         for rows in itertools.combinations(range(3 * s), s + 4):
             p = sigma_minor(config, sigma, rows)
             if p.terms:
                 out.append(p)
+            elif s == 2 and not warned:
+                warned = True
+                warnings.warn("focal points are not pairwise distinct",
+                              RuntimeWarning)
     return out
 
 
@@ -305,41 +304,20 @@ def multiview_ideal(config):
 
 
 def fundamental_matrix(config, i, j):
-    """The 3x3 matrix of signed camera-row brackets whose bilinear form is the
-    epipolar constraint between views i and j."""
-    if i == j:
-        raise ValueError("need two distinct cameras")
-    a, b = i - 1, j - 1
-
-    def br(r1, r2, s1, s2):
-        return config.bracket(((a, r1), (a, r2), (b, s1), (b, s2)))
-
-    return Matrix([
-        [br(1, 2, 1, 2), -br(0, 2, 1, 2), br(0, 1, 1, 2)],
-        [-br(1, 2, 0, 2), br(0, 2, 0, 2), -br(0, 1, 0, 2)],
-        [br(1, 2, 0, 1), -br(0, 2, 0, 1), br(0, 1, 0, 1)],
-    ])
+    """The 3x3 matrix F of the epipolar constraint p_j^T F p_i between views
+    i and j: entry (a, b) is the pair minor's coefficient of letter a of
+    camera j times letter b of camera i."""
+    form = epipolar_form(config, i, j)
+    ring = config.ring()
+    return Matrix([[form.coefficient(m_from_pairs([(ring.var(a, j), 1),
+                                                   (ring.var(b, i), 1)]))
+                    for b in ring.letters] for a in ring.letters])
 
 
 def epipolar_form(config, i, j):
-    """The bilinear form p_j^T F p_i as a polynomial."""
-    ring = config.ring()
-    F = fundamental_matrix(config, i, j)
-    letters = ring.letters
-    terms = {}
-    for a in range(3):
-        for b in range(3):
-            c = F.rows[a][b]
-            if not c:
-                continue
-            mono = m_from_pairs([(ring.var(letters[a], j), 1),
-                                 (ring.var(letters[b], i), 1)])
-            v = terms.get(mono, 0) + c
-            if v:
-                terms[mono] = v
-            else:
-                terms.pop(mono, None)
-    return Polynomial(ring, terms)
+    """The bilinear form p_j^T F p_i: the maximal minor of the pair, the
+    same polynomial in either order of the views."""
+    return sigma_minor(config, (i, j), tuple(range(6)))
 
 
 def toric_cameras(n=4):

@@ -274,11 +274,11 @@ def criterion_7_toric_four_cameras(n_max=None):
 
 
 def criterion_8_degeneration_chain(n_max=None):
-    """All certificates of the collinear degeneration for n = 2..5."""
+    """All certificates of the collinear degeneration for n = 2..7."""
     t0 = time.time()
     details = {}
     ok = True
-    for n in _span((2, 3, 4, 5), n_max):
+    for n in _span(range(2, 8), n_max):
         report = deg.verify_collinear_degeneration(n)
         details["n%d" % n] = report["pass"]
         if not report["pass"]:

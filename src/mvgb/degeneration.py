@@ -130,11 +130,7 @@ def _family_matches_minors(n):
     ring = Ring(n)
     gens = collinear_family_generators(n)
     gb = reduced_groebner_basis(ideal(ring, gens))
-    import warnings
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        minors = multiview_generators(config)
-    for k, r in enumerate(normal_forms(minors, gb)):
+    for k, r in enumerate(normal_forms(multiview_generators(config), gb)):
         if r:
             return False, {"direction": "minor outside family span",
                            "minor_index": k}
@@ -165,11 +161,11 @@ def verify_collinear_degeneration(n):
     (c) its lex initial ideal is the expected monomial ideal; (d) that ideal
     counts standard monomials by the closed form on the box u <= 3, which
     decides for squarefree ideals; (e) the fiber ideal and its initial ideal
-    decompose as the stated intersections.  n is capped at 5 to bound the
+    decompose as the stated intersections.  n is capped at 7 to bound the
     runtime.
     """
-    if not 2 <= n <= 5:
-        raise ValueError("n must be between 2 and 5")
+    if not 2 <= n <= 7:
+        raise ValueError("n must be between 2 and 7")
     ring = Ring(n)
     report = {"n": n, "checks": {}, "pass": True}
 

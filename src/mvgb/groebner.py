@@ -433,6 +433,12 @@ def normal_form(p, basis, order=None):
 
 
 def initial_ideal(I, order=None):
+    """The ideal of leading monomials of the reduced basis under the order
+    (block order by default).  A monomial ideal is its own initial ideal
+    under every order on its ring and is returned as it is."""
+    if isinstance(I, MonomialIdeal):
+        _check_rings([], [order] if order else [], I.ring)
+        return I
     I = _as_ideal(I)
     order = order or block_order(I.ring)
     gb = I.reduced_basis(order)

@@ -21,7 +21,7 @@ from mvgb.exactalg import Matrix, det, eps, rank
 from mvgb.groebner import (
     hilbert_value, ideal, ideal_equal, normal_form, reduced_groebner_basis,
 )
-from mvgb.polyring import Ring, format_polynomial, parse_polynomial
+from mvgb.polyring import Polynomial, Ring, format_polynomial, parse_polynomial
 
 
 def random_config(rng, n):
@@ -390,3 +390,84 @@ def test_generic_fundamental_matrix_attains_rank_two():
     rng = random.Random(59)
     c = random_config(rng, 2)
     assert rank(fundamental_matrix(c, 1, 2)) == 2
+
+
+def bracket_fundamental_matrix(config, i, j):
+    """The classical F of views i and j: entry (a, b) is the bracket of the
+    two rows of camera i other than b and the two of camera j other than a,
+    signed by (-1)^(a+b)."""
+    a, b = i - 1, j - 1
+
+    def br(r1, r2, s1, s2):
+        return config.bracket(((a, r1), (a, r2), (b, s1), (b, s2)))
+
+    return Matrix([
+        [br(1, 2, 1, 2), -br(0, 2, 1, 2), br(0, 1, 1, 2)],
+        [-br(1, 2, 0, 2), br(0, 2, 0, 2), -br(0, 1, 0, 2)],
+        [br(1, 2, 0, 1), -br(0, 2, 0, 1), br(0, 1, 0, 1)],
+    ])
+
+
+def coincident_config(rng, n):
+    """A random configuration whose camera k >= 2 is g A_1, g invertible."""
+    c = random_config(rng, n)
+    while True:
+        g = Matrix([[Fraction(rng.randint(-3, 3)) for _ in range(3)]
+                    for _ in range(3)])
+        if det(g):
+            mats = list(c.matrices)
+            mats[rng.randrange(1, n)] = g * mats[0]
+            return CameraConfig(mats)
+
+
+def test_fundamental_matrix_is_the_bracket_matrix():
+    rng = random.Random(71)
+    rational = CameraConfig([[[Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                               for _ in range(4)] for _ in range(3)]
+                             for _ in range(3)])
+    configs = [random_config(rng, 3), rational, collinear_cameras(3),
+               collinear_cameras(4), collinear_cameras(3, Fraction(2, 3)),
+               toric_cameras(4), coincident_config(rng, 2),
+               coincident_config(rng, 3)]
+    checked = 0
+    for c in configs:
+        ring = c.ring()
+        for i, j in itertools.permutations(range(1, c.n + 1), 2):
+            F = fundamental_matrix(c, i, j)
+            assert F == bracket_fundamental_matrix(c, i, j)
+            form = epipolar_form(c, i, j)
+            assert form == epipolar_form(c, j, i)
+            var, L = Polynomial.variable, ring.letters
+            assert form == sum(
+                (Polynomial.constant(ring, F.rows[a][b])
+                 * var(ring, L[a], j) * var(ring, L[b], i)
+                 for a, b in itertools.product(range(3), repeat=2)),
+                Polynomial.zero(ring))
+            checked += 1
+    assert checked == 56
+
+
+def test_warns_exactly_when_focal_points_coincide():
+    rng = random.Random(73)
+    configs = [coincident_config(rng, n) if k % 2 else random_config(rng, n)
+               for k, n in enumerate([2, 3] * 12)]
+    shared = CameraConfig([g * configs[0].matrices[0] for g in (
+        Matrix([[Fraction(int(r == s)) for s in range(3)] for r in range(3)]),
+        Matrix([[Fraction(1), Fraction(2), Fraction(0)],
+                [Fraction(0), Fraction(1), Fraction(0)],
+                [Fraction(0), Fraction(0), Fraction(3)]]),
+        Matrix([[Fraction(0), Fraction(1), Fraction(0)],
+                [Fraction(1), Fraction(0), Fraction(0)],
+                [Fraction(0), Fraction(0), Fraction(1)]]))])
+    coincident = 0
+    for c in configs + [shared]:
+        expected = any(projectively_equal(p.coords, q.coords)
+                       for p, q in itertools.combinations(focal_points(c), 2))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            multiview_generators(c)
+        assert [(w.category, str(w.message)) for w in caught] == [
+            (RuntimeWarning, "focal points are not pairwise distinct")
+        ] * expected
+        coincident += expected
+    assert coincident == 13

@@ -250,7 +250,7 @@ def test_malformed_options_exit_2(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize("argv", [
     ["degeneration", "verify", "--n", "1"],
-    ["degeneration", "verify", "--n", "6"],
+    ["degeneration", "verify", "--n", "8"],
     ["degeneration", "initial", "--n", "3", "--eps", "0"],
     ["degeneration", "initial", "--n", "3", "--eps", "abc"],
     ["degeneration", "initial", "--n", "3", "--eps", "1/0"],

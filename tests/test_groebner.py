@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvgb import checks
+from mvgb import checks, groebner
 from mvgb.cameras import (
     CameraConfig, is_generic, minimal_multiview_generators,
     multiview_generators, multiview_ideal,
@@ -892,3 +892,29 @@ def test_reduced_basis_lists_the_leading_monomial_first(order):
     for g in reduced_groebner_basis(ideal(R3, multiview_generators(c)),
                                     order):
         assert next(iter(g.terms)) == g.leading_term(order)[1]
+
+
+def test_monomial_ideal_is_its_own_initial_ideal_without_buchberger(
+        monkeypatch):
+    I = generic_initial_ideal(4)
+    u = (1, 1, 1, 1)
+    expected = hilbert_value(ideal(I.ring, I.polynomials()), u)
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return _buchberger(*args)
+
+    monkeypatch.setattr(groebner, "_buchberger", spy)
+    assert hilbert_value(ideal(I.ring, I.polynomials()), u) == expected
+    assert len(calls) == 1
+    assert initial_ideal(I, LexOrder(I.ring, tuple(
+        reversed(range(I.ring.nvars))))) is I
+    assert hilbert_value(I, u) == expected
+    assert len(calls) == 1
+    with pytest.raises(ValueError, match="order on"):
+        initial_ideal(I, block_order(Ring(3)))
+    aux = Ring(2, aux=1)
+    with pytest.raises(ValueError, match=r"plain 3-letter ring Ring\(2\)"):
+        hilbert_value(MonomialIdeal(aux, [parse_monomial(aux, "x1*x2")]),
+                      (1, 1))
