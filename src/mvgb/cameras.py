@@ -44,8 +44,6 @@ class CameraConfig:
         for m in matrices:
             if not isinstance(m, Matrix):
                 m = Matrix(m)
-            m = Matrix([[Fraction(e) if isinstance(e, int) else e
-                         for e in row] for row in m.rows])
             if (m.nrows, m.ncols) != (3, 4):
                 raise ValueError("camera matrices must be 3x4")
             if rank(m) != 3:
@@ -179,7 +177,7 @@ def extend_to_invertible(config):
     out = []
     for m in config.matrices:
         for k in range(4):
-            top = [Fraction(int(j == k)) for j in range(4)]
+            top = [int(j == k) for j in range(4)]
             cand = Matrix([top] + [list(r) for r in m.rows])
             if det(cand):
                 out.append(cand)
@@ -330,8 +328,7 @@ def toric_cameras(n=4):
     a3 = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]]
     a4 = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]
     mats = [a1, a2, a3, a4][:n]
-    return CameraConfig([[[Fraction(e) for e in row] for row in m]
-                         for m in mats])
+    return CameraConfig(mats)
 
 
 def collinear_cameras(n, eps_value=None):

@@ -24,7 +24,7 @@ from .cameras import (
     multiview_generators, multiview_ideal,
 )
 from .polyring import (
-    LexOrder, Ring, WeightOrder, canonical_string,
+    LexOrder, MatrixOrder, Ring, canonical_string,
     format_monomial, format_polynomial, m_deg, parse_polynomial,
 )
 
@@ -112,32 +112,37 @@ def _monomial_ideal_of(I):
 
 
 def parse_order(ring, spec):
-    """Order grammar: 'lex:x1>x2>...' or 'weight:[w,...];tiebreak:lex:...'."""
+    """Order grammar: 'lex:x1>x2>...' or 'weight:[w,...]', where a weight
+    part may be followed by ';tiebreak:' and another order.  The parts are
+    read in one loop, so a chain of any length parses without recursion."""
     if spec is None:
         return LexOrder(ring)
-    if spec.startswith("lex:"):
-        names = [s.strip() for s in spec[4:].split(">")]
+    *parts, last = spec.split(";tiebreak:")
+    tiebreak = None
+    if last.startswith("lex:"):
+        names = [s.strip() for s in last[len("lex:"):].split(">")]
         try:
-            return LexOrder(ring, [ring.index(s) for s in names])
+            tiebreak = LexOrder(ring, [ring.index(s) for s in names])
         except KeyError as exc:
             raise InputError("unknown variable %s" % exc) from None
         except ValueError as exc:
             raise InputError("bad lex order: %s" % exc) from None
-    if spec.startswith("weight:"):
-        body = spec[len("weight:"):]
-        tiebreak = None
-        if ";tiebreak:" in body:
-            body, tb = body.split(";tiebreak:", 1)
-            tiebreak = parse_order(ring, tb)
-        body = body.strip()
+    else:
+        parts.append(last)
+    bodies = []
+    for part in parts:
+        if not part.startswith("weight:"):
+            raise InputError("unknown order spec %r (weight:[...], or "
+                             "lex:... as the last part)" % part)
+        body = part[len("weight:"):].strip()
         if not (body.startswith("[") and body.endswith("]")):
             raise InputError("weights must be a bracketed list")
-        try:
-            weights = [Fraction(w.strip()) for w in body[1:-1].split(",")]
-            return WeightOrder(ring, weights, tiebreak)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError("bad weights: %s" % exc) from None
-    raise InputError("unknown order spec %r" % spec)
+        bodies.append(body[1:-1])
+    try:
+        return MatrixOrder(ring, [[Fraction(w.strip()) for w in b.split(",")]
+                                  for b in bodies], tiebreak)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError("bad weights: %s" % exc) from None
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +219,8 @@ def cmd_elim(args):
 
 def cmd_hilb(args):
     I = load_ideal(args.file, args.n)
+    if all(len(p.terms) == 1 for p in I.generators):
+        I = _monomial_ideal_of(I)   # its own initial ideal: no Buchberger
     n = I.ring.n
     if args.u:
         try:

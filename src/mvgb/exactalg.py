@@ -352,17 +352,16 @@ def eps(k=1):
 # ---------------------------------------------------------------------------
 # dense matrices
 
-def _is_scalar(x):
-    return isinstance(x, (int, Fraction, EpsRational))
-
-
 class Matrix:
     """A dense matrix with exact entries (Fraction or EpsRational)."""
 
     __slots__ = ("nrows", "ncols", "rows")
 
     def __init__(self, rows):
-        rows = [list(r) for r in rows]
+        # an int entry becomes a Fraction here, so elimination never
+        # divides two ints
+        rows = [[Fraction(e) if isinstance(e, int) else e for e in r]
+                for r in rows]
         if rows:
             w = len(rows[0])
             if any(len(r) != w for r in rows):
@@ -375,7 +374,7 @@ class Matrix:
 
     @classmethod
     def identity(cls, n):
-        return cls([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
+        return cls([[int(i == j) for j in range(n)] for i in range(n)])
 
     def transpose(self):
         return Matrix([[self.rows[i][j] for i in range(self.nrows)]
@@ -407,14 +406,6 @@ class Matrix:
         return "Matrix(%r)" % (self.rows,)
 
 
-def _zero_like(m):
-    for r in m.rows:
-        for e in r:
-            if isinstance(e, EpsRational):
-                return EpsRational(0)
-    return Fraction(0)
-
-
 def _cofactor_det(rows):
     n = len(rows)
     if n == 1:
@@ -435,43 +426,35 @@ def _cofactor_det(rows):
 
 
 def det(m):
-    """Exact determinant.  Fraction-free (Bareiss) elimination for scalar
-    entries; division-free cofactor expansion otherwise."""
+    """Exact determinant: the signed product of the pivots of _echelon for
+    scalar entries, in Q(e) when any entry is; division-free cofactor
+    expansion otherwise."""
     if m.nrows != m.ncols:
         raise ValueError("determinant requires a square matrix")
     n = m.nrows
     if n == 0:
         return Fraction(1)
     a = [list(r) for r in m.rows]
-    if not all(_is_scalar(e) for r in a for e in r):
+    kinds = {type(e) for r in a for e in r}
+    if not kinds <= {Fraction, EpsRational}:
         return _cofactor_det(a)
-    sign = 1
-    prev = None
-    for k in range(n - 1):
-        if not a[k][k]:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return _zero_like(m)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
-                a[i][j] = num if prev is None else num / prev
-            a[i][k] = 0
-        prev = a[k][k]
-    d = a[n - 1][n - 1]
-    return -d if sign < 0 else d
+    d = EpsRational(1) if EpsRational in kinds else Fraction(1)
+    pivots, swaps = _echelon(a, n)
+    if len(pivots) < n:
+        return d - d
+    for k in range(n):
+        d = d * a[k][k]
+    return -d if swaps % 2 else d
 
 
 def _echelon(rows, ncols, normalize=False):
-    """In-place forward elimination; returns the list of pivot columns.
+    """In-place forward elimination; returns the pivot columns and the
+    number of row swaps.
 
     With normalize=True the result is the reduced row echelon form.
     """
     pivots = []
+    swaps = 0
     r = 0
     for c in range(ncols):
         if r == len(rows):
@@ -483,7 +466,9 @@ def _echelon(rows, ncols, normalize=False):
                 break
         if piv is None:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            swaps += 1
         if normalize:
             p = rows[r][c]
             rows[r] = [e / p for e in rows[r]]
@@ -497,12 +482,12 @@ def _echelon(rows, ncols, normalize=False):
             rows[i] = [e - f * g for e, g in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
-    return pivots
+    return pivots, swaps
 
 
 def rank(m):
     rows = [list(r) for r in m.rows]
-    return len(_echelon(rows, m.ncols))
+    return len(_echelon(rows, m.ncols)[0])
 
 
 def kernel(m):
@@ -511,7 +496,7 @@ def kernel(m):
     Returns the empty list when the matrix has full column rank.
     """
     rows = [list(r) for r in m.rows]
-    pivots = _echelon(rows, m.ncols, normalize=True)
+    pivots = _echelon(rows, m.ncols, normalize=True)[0]
     pivot_set = set(pivots)
     free = [c for c in range(m.ncols) if c not in pivot_set]
     basis = []
@@ -530,7 +515,7 @@ def inverse(m):
     n = m.nrows
     rows = [list(r) + [Fraction(int(i == j)) for j in range(n)]
             for i, r in enumerate(m.rows)]
-    pivots = _echelon(rows, n, normalize=True)
+    pivots = _echelon(rows, n, normalize=True)[0]
     if len(pivots) != n:
         raise ValueError("singular matrix")
     return Matrix([r[n:] for r in rows])

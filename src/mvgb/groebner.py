@@ -15,8 +15,8 @@ from math import gcd
 
 from .exactalg import EpsRational, integer_row, primitive_row
 from .monomial import (
-    MonomialIdeal, multiview_hilbert_mismatch, standard_monomial_count,
-    standard_profiles,
+    MonomialIdeal, _variable_images, multiview_hilbert_mismatch,
+    standard_monomial_count, standard_profiles,
 )
 from .polyring import (
     LexOrder, Polynomial, WeightOrder, block_order, elimination_order, m_var,
@@ -507,12 +507,6 @@ def minimal_generators(I):
 # ---------------------------------------------------------------------------
 # basis checking and order families
 
-def _pairs_reduce_to_zero(pk, polys, use_chain=True):
-    """(flag, witness) of is_groebner_basis for term dicts from _primitive."""
-    pair = _failing_pair(pk, pk.elements(polys), use_chain)
-    return pair is None, pair
-
-
 def _failing_pair(pk, G, use_chain=True):
     """The first pair (i, j) of elements, by degree, whose S-polynomial
     leaves a remainder on division by G; None when all reduce to zero."""
@@ -561,8 +555,9 @@ def is_groebner_basis(gens, order, use_chain=True):
     gens = list(gens)
     _check_rings(gens, [order])
     kept, polys = _nonzero(gens)
-    ok, pair = _packed(order, polys, _pairs_reduce_to_zero, use_chain)
-    return ok, pair and (kept[pair[0]], kept[pair[1]])
+    pair = _packed(order, polys, lambda pk, ps: _failing_pair(
+        pk, pk.elements(ps), use_chain))
+    return pair is None, pair and (kept[pair[0]], kept[pair[1]])
 
 
 def letter_rankings(n):
@@ -572,11 +567,10 @@ def letter_rankings(n):
 
 
 def permuted_block_lex_orders(ring):
-    """The block lexicographic order of each letter ranking, in the order of
-    letter_rankings: 6^n orders, one per cone of rankings."""
+    """The block lexicographic order mapped by each letter ranking, in the
+    order of letter_rankings: 6^n orders, one per cone of rankings."""
     n = plain_ring(ring, "order family").n
-    return [LexOrder(ring, tuple(ranking[i][slot] * n + i
-                                 for slot in range(3) for i in range(n)))
+    return [LexOrder(ring, _variable_images(n, range(n), ranking))
             for ranking in letter_rankings(n)]
 
 
@@ -627,7 +621,7 @@ def universal_groebner_check(gens, orders, jobs=1):
     When the set passes the first order in the first round of a Buchberger
     run, an order whose leading monomials certify the initial ideal by its
     Hilbert function passes with no S-pair formed (_hilbert_certifier).
-    Every other order is checked by S-pair reduction, which alone can
+    Every other order is checked by is_groebner_basis, which alone can
     reject one; so is every order when the certificate does not apply.
 
     Returns (flag, witness); on failure the witness records the failing order
@@ -644,10 +638,9 @@ def universal_groebner_check(gens, orders, jobs=1):
     for k, order in enumerate(orders):
         if certified is not None and certified(order):
             continue
-        ok, pair = _packed(order, polys, _pairs_reduce_to_zero)
+        ok, pair = is_groebner_basis(gens, order)
         if not ok:
-            return False, {"order_index": k,
-                           "pair": (kept[pair[0]], kept[pair[1]])}
+            return False, {"order_index": k, "pair": pair}
     return True, None
 
 

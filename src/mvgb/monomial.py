@@ -518,6 +518,13 @@ def generic_shelling_order(n):
 # ---------------------------------------------------------------------------
 # relabeling symmetry
 
+def _variable_images(n, camera_perm, letter_perms):
+    """Entry v is the image of variable v = slot * n + c under the letter
+    permutations and the camera relabeling, as relabel takes them."""
+    return [letter_perms[c][slot] * n + camera_perm[c]
+            for slot in range(3) for c in range(n)]
+
+
 def relabel(I, camera_perm, letter_perms):
     """Image of the ideal under per-camera letter permutations followed by a
     relabeling of the cameras.
@@ -525,39 +532,22 @@ def relabel(I, camera_perm, letter_perms):
     camera_perm maps old 0-based camera c to camera_perm[c]; letter_perms[c]
     maps old letter slot (0=x, 1=y, 2=z) to its new slot.
     """
-    ring = I.ring
-    n = ring.n
-    new_gens = []
-    for g in I.gens:
-        pairs = []
-        for v, e in g:
-            slot, cam = divmod(v, n)
-            pairs.append((letter_perms[cam][slot] * n + camera_perm[cam], e))
-        new_gens.append(m_from_pairs(pairs))
-    return MonomialIdeal(ring, new_gens)
+    images = _variable_images(I.ring.n, camera_perm, letter_perms)
+    return MonomialIdeal(I.ring, [m_from_pairs([(images[v], e) for v, e in g])
+                                  for g in I.gens])
 
 
-_GROUP_CACHE = {}
-
-
+@lru_cache(maxsize=None)
 def _group_bit_images(n):
     """The group (S3)^n x| S_n as an (|G|, 3n) array: entry [k, v] is the
     bit of the image of variable v under element k, the identity first."""
     import numpy as np
 
-    got = _GROUP_CACHE.get(n)
-    if got is None:
-        perms3 = list(itertools.permutations(range(3)))
-        out = []
-        for tau in itertools.permutations(range(n)):
-            for combo in itertools.product(perms3, repeat=n):
-                var_perm = [0] * (3 * n)
-                for c in range(n):
-                    for slot in range(3):
-                        var_perm[slot * n + c] = combo[c][slot] * n + tau[c]
-                out.append(var_perm)
-        got = _GROUP_CACHE[n] = np.int64(1) << np.array(out, dtype=np.int64)
-    return got
+    perms3 = list(itertools.permutations(range(3)))
+    out = [_variable_images(n, tau, combo)
+           for tau in itertools.permutations(range(n))
+           for combo in itertools.product(perms3, repeat=n)]
+    return np.int64(1) << np.array(out, dtype=np.int64)
 
 
 def canonical_form(I):

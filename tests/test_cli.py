@@ -7,7 +7,10 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from mvgb import groebner
 from mvgb.cli import MAX_HILB, main
+from mvgb.monomial import generic_initial_ideal, standard_count_box
+from mvgb.polyring import Ring, format_monomial, parse_polynomial
 
 
 @pytest.fixture
@@ -71,6 +74,59 @@ def test_order_spec(tmp_path, capsys):
     rc, payload = run(capsys, "gb", str(path), "--order",
                       "weight:[0,1,0,0,0,0];tiebreak:lex:x1>x2>y1>y2>z1>z2")
     assert rc == 0 and payload["initial_ideal"] == ["x2*y1"]
+
+
+def test_deep_tiebreak_chain_parses_without_recursion(tmp_path, capsys):
+    # 1200 parts are read in a loop; a repeated weight row changes no
+    # comparison, so the basis is that of one level
+    path = tmp_path / "i.txt"
+    path.write_text("x1*y2 - x2*y1\n")
+    level = "weight:[0,1,0,0,0,0];tiebreak:"
+    lex = "lex:x1>x2>y1>y2>z1>z2"
+    one = run(capsys, "gb", str(path), "--order", level + lex)
+    assert one[0] == 0 and one[1]["initial_ideal"] == ["x2*y1"]
+    assert run(capsys, "gb", str(path), "--order", level * 1200 + lex) == one
+    for tail in ("weight:[1,a]", "bogus:spec", lex + ";tiebreak:" + lex):
+        assert main(["gb", str(path), "--order", level * 1200 + tail]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and not captured.out
+        assert "Traceback" not in captured.err
+
+
+GIN4 = generic_initial_ideal(4)
+
+
+@pytest.mark.parametrize("text, u, box", [
+    ("\n".join(format_monomial(GIN4.ring, m) for m in GIN4.gens),
+     (1, 1, 1, 1), 1),
+    ("x1^2*y2\nx2*z1^3\n", (2, 3), 3),   # not squarefree
+    ("x1*y2\nx1^2*y2*z2\nx2*y1\n", (1, 2), 2),   # a redundant monomial
+])
+def test_hilb_on_monomial_file_runs_no_buchberger(tmp_path, capsys,
+                                                  monkeypatch, text, u, box):
+    # the file is read as a monomial ideal, its own initial ideal; the
+    # values are those of Buchberger's algorithm on the same polynomials
+    lines = text.split()
+    ring = Ring(len(u))
+    I = groebner.ideal(ring, [parse_polynomial(ring, s) for s in lines])
+    value = groebner.hilbert_value(I, u)
+    table = standard_count_box(groebner.initial_ideal(I), box)
+    calls, buchberger = [], groebner._buchberger
+
+    def spy(*args):
+        calls.append(args)
+        return buchberger(*args)
+
+    monkeypatch.setattr(groebner, "_buchberger", spy)
+    path = tmp_path / "m.txt"
+    path.write_text(text)
+    rc, payload = run(capsys, "hilb", str(path), "--u",
+                      ",".join(map(str, u)))
+    assert rc == 0 and payload["value"] == value
+    rc, payload = run(capsys, "hilb", str(path), "--box", str(box))
+    assert rc == 0 and payload["values"] == {
+        ",".join(map(str, k)): v for k, v in table.items()}
+    assert calls == []
 
 
 def test_gb_prints_terms_in_the_chosen_order(tmp_path, capsys):

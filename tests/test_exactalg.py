@@ -112,6 +112,48 @@ def test_inverse():
     assert m * inverse(m) == Matrix.identity(4)
 
 
+def _as_fractions(rows):
+    return Matrix([[Fraction(e) for e in r] for r in rows])
+
+
+def test_int_entries_are_exact():
+    # ints enter as Fractions, so no elimination step divides two ints
+    assert rank(Matrix([[1, 10 ** 20], [1, 10 ** 20 + 1]])) == 2
+    d = det(Matrix([[2, 0, 0], [0, 3, 0], [0, 0, 5]]))
+    assert d == 30 and type(d) is Fraction
+    singular = [[1, 2, 3], [4, 5, 6], [7, 8, 9]]
+    ker = kernel(Matrix(singular))
+    assert ker == kernel(_as_fractions(singular))
+    assert all(type(e) is Fraction for v in ker for e in v)
+    square = [[2, 1, 0], [1, 3, 1], [0, 1, 4]]
+    inv = inverse(Matrix(square))
+    assert inv == inverse(_as_fractions(square))
+    assert all(type(e) is Fraction for r in inv.rows for e in r)
+    assert Matrix(square) * inv == Matrix.identity(3)
+
+
+def test_det_sign_of_an_odd_number_of_row_swaps():
+    # the first column's pivot sits in row 1: one swap, and no other
+    rows = [[0, 2, 1], [3, 1, 0], [1, 0, 4]]
+    assert det(Matrix(rows)) == -25 == cofactor_det(_as_fractions(rows).rows)
+    assert det(Matrix([[0, 1], [1, 0]])) == -1
+
+
+def test_eps_det_matches_cofactor_oracle():
+    rng = random.Random(29)
+
+    def entry():
+        num = tuple(rng.randint(-3, 3) for _ in range(rng.randint(1, 3)))
+        return EpsRational(num, rng.choice([1, 2, (1, 1), (0, 1)]))
+
+    for n in (3, 4):
+        for _ in range(6):
+            m = Matrix([[entry() if rng.random() < 0.7 else Fraction(0)
+                         for _ in range(n)] for _ in range(n)])
+            d = det(m)
+            assert d == cofactor_det(m.rows) and type(d) is EpsRational
+
+
 def test_eps_normalization():
     a = EpsRational((0, 2), (0, 0, 4))  # 2e / 4e^2 = 1/(2e)
     assert a.num == (1,) and a.den == (0, 2)

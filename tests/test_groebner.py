@@ -395,14 +395,14 @@ def _counting_pair_checks(monkeypatch):
     """The list of verdicts of every S-pair check run from now on."""
     from mvgb import groebner
     seen = []
-    check = groebner._pairs_reduce_to_zero
+    check = groebner.is_groebner_basis
 
     def counting(*args):
         got = check(*args)
         seen.append(got[0])
         return got
 
-    monkeypatch.setattr(groebner, "_pairs_reduce_to_zero", counting)
+    monkeypatch.setattr(groebner, "is_groebner_basis", counting)
     return seen
 
 
