@@ -7,7 +7,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 import warnings
 from fractions import Fraction
@@ -24,7 +23,7 @@ from .cameras import (
     multiview_generators, multiview_ideal,
 )
 from .polyring import (
-    LexOrder, MatrixOrder, Ring, canonical_string,
+    LexOrder, MatrixOrder, Ring, _tokens, canonical_string,
     format_monomial, format_polynomial, m_deg, parse_polynomial,
 )
 
@@ -90,8 +89,8 @@ def load_ideal(path, n=None):
     if not lines:
         raise InputError("no polynomials in %s" % path)
     if n is None:
-        n = max((int(cam) for ln in lines
-                 for cam in re.findall(r"[xyz](\d+)", ln)), default=0)
+        n = max((int(camera) for ln in lines
+                 for _, camera, *_ in _tokens(ln) if camera), default=0)
     if n < 1:
         raise InputError("no camera in --n or in %s" % path)
     ring = Ring(max(n, 2))

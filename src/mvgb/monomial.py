@@ -579,9 +579,8 @@ def _mask_images(I):
 
 def _packed_rows(masks):
     """One int per row of a 2-D array of sorted support masks: the masks in
-    big-endian 16-bit slots behind a leading 1 that keeps lengths apart.
-    16 bits suffice: the group tables already outgrow memory at 6 cameras
-    (18 variables)."""
+    big-endian 16-bit slots behind a leading 1 that keeps lengths apart
+    (_orbit_key admits at most 5 cameras, 15 variables)."""
     import numpy as np
 
     masks = np.asarray(masks, dtype=">u2")
@@ -595,6 +594,9 @@ def _packed_rows(masks):
 def _orbit_key(I):
     """The key under which _orbit_image_keys lists the ideal itself."""
     plain_ring(I.ring, "symmetry orbits")
+    if I.ring.n > 5:   # the group table would hold 6^n n! rows
+        raise ValueError("symmetry orbits take at most 5 cameras, not %d"
+                         % I.ring.n)
     masks = []
     for g in I.gens:   # support masks and the squarefree check in one pass
         mask = 0

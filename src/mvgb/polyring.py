@@ -9,6 +9,7 @@ maps over Q or Q(e).
 
 from __future__ import annotations
 
+import functools
 import re
 from fractions import Fraction
 
@@ -444,9 +445,26 @@ class Polynomial:
 
 # ---------------------------------------------------------------------------
 # text format: signed rational coefficients, '*'-separated variable powers
+#   polynomial := [sign] term {sign term}
+#   term       := factor {(*|/) factor}
+#   factor     := number | e[^k] | x|y|z<camera>[^k] | ( polynomial )
+#
+# A parenthesized group is a coefficient over Q(e): it holds no variable and
+# reads as an EpsRational, so '(-2)*x1' keeps the domain Q(e).  A variable is
+# never a divisor, and the divisors that follow a variable are numbers: x1/2
+# is 1/2*x1, while a Q(e) divisor goes in front, as in 1/(e)*x1.
 
-_VAR_RE = re.compile(r"^([xyz])(\d+)(?:\^(\d+))?$")
-_NUM_RE = re.compile(r"^\d+(?:/\d+)?$")
+# token groups: letter, camera, exponent | number | e, exponent | other char
+_TOKEN_RE = re.compile(
+    r"([xyz])(\d+)(?:\^(\d+))?|(\d+)|(e)(?:\^(\d+))?|(.)", re.S)
+_MAX_EPS_POWER = 1000   # e^k is held as k + 1 integers
+_MAX_EPS_NESTING = 50   # parentheses, each two frames of the reader
+_eps_power = functools.lru_cache(maxsize=64)(eps)
+
+
+def _tokens(text):
+    """The group tuples of _TOKEN_RE, one per token of text, blanks dropped."""
+    return _TOKEN_RE.findall(text.replace(" ", ""))
 
 
 def format_monomial(ring, mono):
@@ -504,140 +522,91 @@ def canonical_string(p):
     return format_polynomial(Polynomial(p.ring, dict(zip(p.terms, ints))))
 
 
-_EPS_TOKEN_RE = re.compile(r"\d+|[-+*/^()e]")
-_MAX_EPS_POWER = 1000   # e^k is held as k + 1 integers
-_MAX_EPS_NESTING = 50   # parentheses, each a few frames of the reader
+def _read(ring, text, term_only=False):
+    """Read text by the grammar above: a polynomial as its {monomial:
+    coefficient} map, or with term_only one term as (coefficient, variable
+    powers).  A zero divisor raises ZeroDivisionError, as over Q."""
+    toks = _tokens(text) + [("",) * 7]   # the end: a token of no group
+    pos = 0
 
+    def bad(why):
+        return ValueError("%s in %r" % (why, text))
 
-def _split_top(s, sep):
-    """Split s at each character of sep ('+-' or '*') that lies outside
-    parentheses.  A sign stays at the head of the piece it starts; '*' is
-    dropped."""
-    out = []
-    depth = start = 0
-    for i, ch in enumerate(s):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch in sep and not depth and (i > start or sep == "*"):
-            out.append(s[start:i])
-            start = i + (sep == "*")
-    out.append(s[start:])
+    def term(depth):
+        # the coefficient is num/den times q, its part over Q(e)
+        nonlocal pos
+        num, den, q, pairs, op = 1, 1, None, [], "*"
+        while True:
+            letter, camera, k, number, e, k_e, sym = toks[pos]
+            pos += 1
+            if letter:
+                if depth or op == "/":
+                    raise bad("a variable in parentheses or after '/'")
+                pairs.append((ring.var(letter, int(camera)), int(k or 1)))
+            elif number and op == "*":
+                num *= int(number)
+            elif number:
+                den *= int(number)
+            else:
+                if e:
+                    if int(k_e or 1) > _MAX_EPS_POWER:
+                        raise bad("a power of e above e^%d" % _MAX_EPS_POWER)
+                    v = _eps_power(int(k_e or 1))
+                elif sym == "(":
+                    if depth == _MAX_EPS_NESTING:
+                        raise bad("parentheses nested too deep")
+                    v = polynomial(depth + 1).get(m_one, 0)
+                    if toks[pos][6] != ")":
+                        raise bad("unbalanced parentheses")
+                    pos += 1
+                    v = v if isinstance(v, EpsRational) else EpsRational(v)
+                else:
+                    raise bad("no factor at %r" % (sym or "the end"))
+                if op == "/":
+                    if pairs:
+                        raise bad("a Q(e) divisor after a variable")
+                    v = 1 / v
+                q = v if q is None else q * v
+            op = toks[pos][6]
+            if op != "*" and op != "/":
+                c = num if den == 1 else Fraction(num, den)
+                return (c if q is None else q if c == 1 else q * c), pairs
+            pos += 1
+
+    def polynomial(depth):
+        nonlocal pos
+        acc, sign = {}, toks[pos][6]
+        if sign == "+" or sign == "-":
+            pos += 1
+        while True:
+            coeff, pairs = term(depth)
+            mono = m_from_pairs(pairs)
+            if sign == "-":
+                coeff = -coeff
+            acc[mono] = acc[mono] + coeff if mono in acc else coeff
+            sign = toks[pos][6]
+            if sign != "+" and sign != "-":
+                return acc
+            pos += 1
+
+    out = term(0) if term_only else polynomial(0)
+    if pos < len(toks) - 1:
+        raise bad("unexpected %r" % "".join(toks[pos]))
     return out
 
 
-def _eps_coefficient(text):
-    """Evaluate a coefficient over Q(e) as format_polynomial writes it:
-    integers, e and its powers e^k under + - * / and parentheses.  A zero
-    divisor raises ZeroDivisionError, as a rational one does."""
-    toks = _EPS_TOKEN_RE.findall(text)
-    if "".join(toks) != text:
-        raise ValueError("bad coefficient %r" % text)
-    toks.append("")
-    pos = 0
-
-    def take(*allowed):
-        nonlocal pos
-        t = toks[pos]
-        if t not in allowed:
-            return None
-        pos += 1
-        return t
-
-    def atom(depth):
-        nonlocal pos
-        t = toks[pos]
-        pos += 1
-        if t == "(":
-            if depth == _MAX_EPS_NESTING:
-                raise ValueError("parentheses nested too deep in %r" % text)
-            v = total(depth + 1)
-            if take(")") is None:
-                raise ValueError("unbalanced parentheses in %r" % text)
-        elif t == "e":
-            v = eps()
-            if take("^"):
-                k = toks[pos]
-                if not k.isdigit() or int(k) > _MAX_EPS_POWER:
-                    raise ValueError("bad power of e in %r" % text)
-                pos += 1
-                v = eps(int(k))
-        elif t.isdigit():
-            v = EpsRational(int(t))
-        else:
-            raise ValueError("bad coefficient %r" % text)
-        return v
-
-    def product(depth):
-        v = atom(depth)
-        while (op := take("*", "/")) is not None:
-            v = v * atom(depth) if op == "*" else v / atom(depth)
-        return v
-
-    def total(depth):
-        neg = take("+", "-") == "-"
-        v = product(depth)
-        if neg:
-            v = -v
-        while (op := take("+", "-")) is not None:
-            v = v + product(depth) if op == "+" else v - product(depth)
-        return v
-
-    v = total(0)
-    if toks[pos]:
-        raise ValueError("bad coefficient %r" % text)
-    return v
-
-
-def _read_term(ring, body, text):
-    """The coefficient and monomial of one unsigned term: '*'-separated
-    rational numbers, Q(e) coefficients and variable powers."""
-    coeff = Fraction(1)
-    monos = []
-    for tok in _split_top(body, "*"):
-        if _NUM_RE.match(tok):
-            coeff *= Fraction(tok)
-        elif m := _VAR_RE.match(tok):
-            monos.append((ring.var(m.group(1), int(m.group(2))),
-                          int(m.group(3)) if m.group(3) else 1))
-        elif "(" in tok or "e" in tok:
-            coeff = coeff * _eps_coefficient(tok)
-        else:
-            raise ValueError("bad factor %r in %r" % (tok, text))
-    return coeff, m_from_pairs(monos)
-
-
 def parse_polynomial(ring, text):
-    """Parse the text format, e.g. 'x1*y2 - x2*y1' or '2/3*x1^2', and over
-    Q(e) coefficients such as '(e^2 - e)*x1' or '((-e - 1)/(e))*y2'."""
-    s = text.replace(" ", "")
-    if not s:
-        raise ValueError("empty polynomial")
-    acc = {}
-    for chunk in _split_top(s, "+-"):
-        body = chunk[1:] if chunk[0] in "+-" else chunk
-        if not body:
-            raise ValueError("dangling sign in %r" % text)
-        coeff, mono = _read_term(ring, body, text)
-        if chunk[0] == "-":
-            coeff = -coeff
-        v = acc.get(mono)
-        v = coeff if v is None else v + coeff
-        if v:
-            acc[mono] = v
-        else:
-            acc.pop(mono, None)
-    return Polynomial(ring, acc)
+    """Parse the text format, e.g. 'x1*y2 - x2*y1', '2/3*x1^2' or 'x1/2', and
+    over Q(e) coefficients such as '(e^2 - e)*x1' or '((-e - 1)/(e))*y2'."""
+    return Polynomial(ring, _read(ring, text))
 
 
 def parse_monomial(ring, text):
     """A monomial such as 'x1*y2^2': one term with coefficient 1, read as
     parse_polynomial reads a term.  '1' and '' are the monomial 1."""
-    s = text.replace(" ", "")
-    if not s:
+    if not text.replace(" ", ""):
         return m_one
-    coeff, mono = _read_term(ring, s, text)
+    coeff, pairs = _read(ring, text, term_only=True)
     if coeff != 1:
         raise ValueError("not a monomial: %r" % text)
-    return mono
+    return m_from_pairs(pairs)

@@ -337,6 +337,23 @@ def test_orbit_entry_points_reject_non_squarefree_ideals():
             call()
 
 
+def test_orbit_entry_points_refuse_six_cameras(monkeypatch):
+    # the group table of Ring(6) has 6^6 * 6! rows; none may be built
+    import mvgb.monomial as monomial
+
+    def no_table(n):
+        raise AssertionError("group table built for n = %d" % n)
+
+    monkeypatch.setattr(monomial, "_group_bit_images", no_table)
+    r6 = Ring(6)
+    I = MonomialIdeal(r6, [mono(r6, "x1*y6"), mono(r6, "z3")])
+    for call in (lambda: canonical_form(I),
+                 lambda: canonical_form(MonomialIdeal(r6, [])),
+                 lambda: symmetry_orbits([I])):
+        with pytest.raises(ValueError, match="at most 5 cameras"):
+            call()
+
+
 _AUX = Ring(2, aux=1)
 _AUX_IDEAL = MonomialIdeal(_AUX, [parse_monomial(_AUX, "x1*x2")])
 

@@ -303,6 +303,39 @@ def test_parse_rejects_malformed_eps_text(text):
         parse_polynomial(R3, text)
 
 
+@pytest.mark.parametrize("text", ["(x1)*y2", "1/x1", "x1/(e)", "x4"])
+def test_parse_rejects_variables_out_of_place(text):
+    # in parentheses, as a divisor, under a Q(e) divisor, or beyond Ring(3)
+    for parse in (parse_polynomial, parse_monomial):
+        with pytest.raises(ValueError):
+            parse(R3, text)
+
+
+@pytest.mark.parametrize("text, terms", [
+    ("(1)*x1", {"x1": EpsRational(1)}),
+    ("x1^007", {"x1^7": Fraction(1)}),
+    ("+ x1", {"x1": Fraction(1)}),
+    ("1/2*3", {"1": Fraction(3, 2)}),
+    ("x1/2", {"x1": Fraction(1, 2)}),
+    ("(-2)*x1 + e*x2", {"x1": EpsRational(-2), "x2": eps(1)}),
+])
+def test_parse_edge_forms(text, terms):
+    # a parenthesized group reads over Q(e) even when its value is rational
+    p = parse_polynomial(R3, text)
+    expected = {mono(R3, m): c for m, c in terms.items()}
+    assert p.terms == expected
+    assert {m: type(c) for m, c in p.terms.items()} == \
+        {m: type(c) for m, c in expected.items()}
+
+
+def test_parse_divides_a_term_by_a_trailing_number():
+    assert parse_polynomial(R3, "x1/2") == parse_polynomial(R3, "1/2*x1")
+    assert parse_polynomial(R3, "2*x1*y2/3/4") == \
+        parse_polynomial(R3, "1/6*x1*y2")
+    text = "(-2)*x1 + e*x2"
+    assert format_polynomial(parse_polynomial(R3, text)) == text
+
+
 def test_parse_eps_zero_divisor_raises_as_over_q():
     for text in ("1/(e - e)*x1", "1/0*x1"):
         with pytest.raises(ZeroDivisionError):
