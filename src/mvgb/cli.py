@@ -23,7 +23,7 @@ from .cameras import (
     multiview_generators, multiview_ideal,
 )
 from .polyring import (
-    LexOrder, MatrixOrder, Ring, _tokens, canonical_string,
+    LexOrder, MatrixOrder, Ring, _cameras, canonical_string,
     format_monomial, format_polynomial, m_deg, parse_polynomial,
 )
 
@@ -89,8 +89,7 @@ def load_ideal(path, n=None):
     if not lines:
         raise InputError("no polynomials in %s" % path)
     if n is None:
-        n = max((int(camera) for ln in lines
-                 for _, camera, *_ in _tokens(ln) if camera), default=0)
+        n = max((c for ln in lines for c in _cameras(ln)), default=0)
     if n < 1:
         raise InputError("no camera in --n or in %s" % path)
     ring = Ring(max(n, 2))

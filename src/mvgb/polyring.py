@@ -9,7 +9,6 @@ maps over Q or Q(e).
 
 from __future__ import annotations
 
-import functools
 import re
 from fractions import Fraction
 
@@ -459,12 +458,16 @@ _TOKEN_RE = re.compile(
     r"([xyz])(\d+)(?:\^(\d+))?|(\d+)|(e)(?:\^(\d+))?|(.)", re.S)
 _MAX_EPS_POWER = 1000   # e^k is held as k + 1 integers
 _MAX_EPS_NESTING = 50   # parentheses, each two frames of the reader
-_eps_power = functools.lru_cache(maxsize=64)(eps)
 
 
 def _tokens(text):
     """The group tuples of _TOKEN_RE, one per token of text, blanks dropped."""
     return _TOKEN_RE.findall(text.replace(" ", ""))
+
+
+def _cameras(text):
+    """The camera numbers of the variables in text, in order."""
+    return [int(camera) for _, camera, *_ in _tokens(text) if camera]
 
 
 def format_monomial(ring, mono):
@@ -551,7 +554,7 @@ def _read(ring, text, term_only=False):
                 if e:
                     if int(k_e or 1) > _MAX_EPS_POWER:
                         raise bad("a power of e above e^%d" % _MAX_EPS_POWER)
-                    v = _eps_power(int(k_e or 1))
+                    v = eps(int(k_e or 1))
                 elif sym == "(":
                     if depth == _MAX_EPS_NESTING:
                         raise bad("parentheses nested too deep")
