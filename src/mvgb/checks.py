@@ -293,7 +293,7 @@ def criterion_9_tangent_dimensions(n_max=None):
     t0 = time.time()
     details = {}
     ok = True
-    for n in _span((3, 4, 5, 6, 7), n_max):
+    for n in _span((3, 4, 5, 6, 7, 8), n_max):
         good, info = tan.verify_collinear_tangent_basis(n)
         d = details["n%d" % n] = info["tangent_dimension"]
         if d != 11 * n - 15:

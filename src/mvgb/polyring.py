@@ -488,13 +488,19 @@ def _coeff_str(c, mono_str):
             return "-" + mono_str
     s = str(c)
     if isinstance(c, EpsRational) and (
-            s.startswith("-") or " " in s or "/" in s):
+            "e" not in s or s.startswith("-") or " " in s or "/" in s):
         s = "(%s)" % s
     return s if mono_str == "1" else "%s*%s" % (s, mono_str)
 
 
 def format_polynomial(p, order=None):
-    """The terms in descending order under order (default block order)."""
+    """The terms in descending order under order (default block order).
+
+    A Q(e) coefficient that is rational, negative or a quotient is written
+    in parentheses, so that it reads back over Q(e): `(2)*x1 + e*y1`.  A
+    coefficient of 1 or -1 in front of a variable is not written, so a
+    Q(e) polynomial whose every coefficient is 1 or -1 reads back over Q.
+    """
     if not p.terms:
         return "0"
     out = []

@@ -51,28 +51,45 @@ def _free_components(I, subsets):
     one map each (c_g = 1 on the component), so their number is the
     dimension of Hom(I, S/I)_0.
 
+    The ties run first, over the subsets with two or more vertices; a block
+    of one vertex has none.  A lone subset, with a single vertex g, cannot
+    tie g to anything and can only zero it, so lone subsets are tested
+    after the union-find, per component that no tie already zeroed, up to
+    the first L*x^d found standard.
+
     Monomials are packed into ints, one field of w bits per variable, with
     2D < 2^(w-1) for the largest generator degree D.  Every field of
     L*x^d lies in [0, 2D], as g divides L and g*x^d is standard, so L*x^d
     is the sum of L and the signed packed d.  A guard bit atop each field
-    makes a divisibility test one subtraction, and each product is tested
-    against the generators once per call: the same one recurs across
-    shifts.
+    makes a divisibility test one subtraction, and one more subtraction
+    gives the support of a product as the guard bits of its nonzero
+    fields.  A generator divides a product only if its lowest variable lies
+    in that support, so the generators are indexed by the guard bit of
+    their lowest variable and a product is tested against the buckets of
+    its support alone.  Each product is tested once per call: the same one
+    recurs across shifts.
     """
     width = (2 * max(map(m_deg, I.gens), default=0) + 1).bit_length() + 1
-    guard = sum(1 << (v * width + width - 1) for v in range(I.ring.nvars))
+    low = sum(1 << v * width for v in range(I.ring.nvars))
+    guard = low << width - 1
 
     def pack(pairs):
         return sum(e << v * width for v, e in pairs)
 
-    packed = [pack(g) for g in I.gens]
+    by_first = {}
+    for g in I.gens:
+        by_first.setdefault(1 << g[0][0] * width + width - 1, []).append(
+            pack(g))
     known = {}
 
     def in_ideal(x):
         hit = known.get(x)
         if hit is None:
             top = x | guard
-            hit = known[x] = any((top - q) & guard == guard for q in packed)
+            support = top - low & guard
+            hit = known[x] = any(
+                (top - q) & guard == guard
+                for bit, qs in by_first.items() if support & bit for q in qs)
         return hit
 
     through = {}
@@ -90,23 +107,27 @@ def _free_components(I, subsets):
                 parent[g] = g = parent[parent[g]]
             return g
 
+        lone = {g: [] for g in members}
         zeroed = []
         for g in members:
             for A, L in through.get(g, ()):
-                inside = [h for h in A if h in parent]
-                if inside[0] != g or in_ideal(L + shift):
-                    continue  # met from its first vertex, or no constraint
-                for h in inside[1:]:
-                    parent[find(h)] = find(g)
-                if len(inside) < len(A):
-                    zeroed.append(g)
+                inside = [h for h in A if h in parent] if len(members) > 1 \
+                    else (g,)
+                if len(inside) == 1:
+                    lone[g].append(L)
+                elif inside[0] == g and not in_ideal(L + shift):
+                    for h in inside[1:]:
+                        parent[find(h)] = find(g)
+                    if len(inside) < len(A):
+                        zeroed.append(g)
         dead = {find(g) for g in zeroed}
         comps = {}
         for g in members:
             root = find(g)
             if root not in dead:
                 comps.setdefault(root, []).append(g)
-        out.extend((d, frozenset(c)) for c in comps.values())
+        out.extend((d, frozenset(c)) for c in comps.values()
+                   if all(in_ideal(L + shift) for g in c for L in lone[g]))
     return out
 
 
@@ -115,14 +136,6 @@ def tangent_dimension(I):
     number of free weight-graph components under the pairwise lcm syzygies.
     """
     return len(_free_components(I, itertools.combinations(I.gens, 2)))
-
-
-def tangent_dimension_with_triples(I):
-    """Cross-check variant that additionally imposes all triple-lcm
-    constraints; the dimension must not change."""
-    subsets = itertools.chain(itertools.combinations(I.gens, 2),
-                              itertools.combinations(I.gens, 3))
-    return len(_free_components(I, subsets))
 
 
 # ---------------------------------------------------------------------------

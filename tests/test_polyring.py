@@ -274,6 +274,24 @@ def test_text_roundtrip_over_eps(items):
     q = parse_polynomial(R3, s)
     assert q == p
     assert format_polynomial(q) == s
+    # the domain survives unless each Q(e) coefficient is a bare 1 or -1
+    if any(isinstance(c, EpsRational) and (m == m_one or c not in (1, -1))
+           for m, c in p.terms.items()):
+        assert q.domain() == "Q(e)"
+
+
+def test_rational_eps_coefficients_keep_their_domain():
+    p = Polynomial(R3, {mono(R3, "x1"): EpsRational(2),
+                        mono(R3, "y1"): EpsRational(3)})
+    s = format_polynomial(p)
+    assert s == "(2)*x1 + (3)*y1"
+    q = parse_polynomial(R3, s)
+    assert q.domain() == "Q(e)"
+    assert canonical_string(q) == canonical_string(p) == "x1 + (3/2)*y1"
+    unit = Polynomial(R3, {mono(R3, "x1"): EpsRational(1),
+                           mono(R3, "y1"): EpsRational(-1)})
+    assert format_polynomial(unit) == "x1 - y1"
+    assert parse_polynomial(R3, "x1 - y1").domain() == "Q"
 
 
 def test_eps_basis_text_roundtrip():

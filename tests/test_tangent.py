@@ -2,6 +2,7 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import assume, given, settings
@@ -12,11 +13,89 @@ from mvgb.monomial import (
     standard_monomials,
 )
 from mvgb import tangent
-from mvgb.polyring import Ring, m_from_pairs, parse_monomial
-from mvgb.tangent import (
-    collinear_tangent_maps, tangent_dimension,
-    tangent_dimension_with_triples, verify_collinear_tangent_basis,
+from mvgb.polyring import (
+    Ring, m_deg, m_from_pairs, m_lcm, parse_monomial,
 )
+from mvgb.tangent import (
+    _free_components, _weight_blocks, collinear_tangent_maps,
+    tangent_dimension, verify_collinear_tangent_basis,
+)
+
+
+def pairs_and_triples(I):
+    return itertools.chain(itertools.combinations(I.gens, 2),
+                           itertools.combinations(I.gens, 3))
+
+
+def tangent_dimension_with_triples(I):
+    """Cross-check variant that additionally imposes all triple-lcm
+    constraints; the dimension must not change."""
+    return len(_free_components(I, pairs_and_triples(I)))
+
+
+def eager_free_components(I, subsets):
+    """Reference for tangent._free_components: every subset through a vertex
+    is tested at once, tying and zeroing in one pass, and each product is
+    tested against every packed generator in turn."""
+    width = (2 * max(map(m_deg, I.gens), default=0) + 1).bit_length() + 1
+    guard = sum(1 << (v * width + width - 1) for v in range(I.ring.nvars))
+
+    def pack(pairs):
+        return sum(e << v * width for v, e in pairs)
+
+    packed = [pack(g) for g in I.gens]
+    known = {}
+
+    def in_ideal(x):
+        hit = known.get(x)
+        if hit is None:
+            top = x | guard
+            hit = known[x] = any((top - q) & guard == guard for q in packed)
+        return hit
+
+    through = {}
+    for A in subsets:
+        L = pack(reduce(m_lcm, A))
+        for g in A:
+            through.setdefault(g, []).append((A, L))
+    out = []
+    for d, members in _weight_blocks(I):
+        shift = pack(d)
+        parent = {g: g for g in members}
+
+        def find(g):
+            while parent[g] != g:
+                parent[g] = g = parent[parent[g]]
+            return g
+
+        zeroed = []
+        for g in members:
+            for A, L in through.get(g, ()):
+                inside = [h for h in A if h in parent]
+                if inside[0] != g or in_ideal(L + shift):
+                    continue  # met from its first vertex, or no constraint
+                for h in inside[1:]:
+                    parent[find(h)] = find(g)
+                if len(inside) < len(A):
+                    zeroed.append(g)
+        dead = {find(g) for g in zeroed}
+        comps = {}
+        for g in members:
+            root = find(g)
+            if root not in dead:
+                comps.setdefault(root, []).append(g)
+        out.extend((d, frozenset(c)) for c in comps.values())
+    return out
+
+
+def assert_matches_eager(I):
+    """The (shift, component) set equals the eager reference's, over the
+    pairs and over the pairs with the triples."""
+    for subsets in (lambda: itertools.combinations(I.gens, 2),
+                    lambda: pairs_and_triples(I)):
+        got = _free_components(I, subsets())
+        assert len(got) == len(set(got))
+        assert set(got) == set(eager_free_components(I, subsets()))
 
 
 def dense_rank(rows, ncols):
@@ -247,21 +326,28 @@ def test_weight_graph_count_matches_dense_oracle(I):
     assert brute_tangent_dimension(I) == d
 
 
-@settings(max_examples=8, deadline=None)
-@given(st.lists(st.tuples(*[st.sampled_from(
-    [e for e in itertools.product(range(5), repeat=3) if sum(e) <= 4])] * 2),
-    min_size=1, max_size=3))
-def test_packed_fields_hold_high_exponents(rows):
-    """Exponents up to 4, with degree up to 4 in each camera: the packed
-    field width, negative shifts and the guard-bit divisibility test agree
-    with the dense oracle."""
+@st.composite
+def high_exponent_ideals(draw):
+    """Ideals in Ring(2) with up to three generators of exponents up to 4
+    and degree up to 4 in each camera."""
     ring = Ring(2)
+    block = st.sampled_from(
+        [e for e in itertools.product(range(5), repeat=3) if sum(e) <= 4])
+    rows = draw(st.lists(st.tuples(block, block), min_size=1, max_size=3))
     gens = [m_from_pairs((ring.var(L, c), e)
                          for c, part in ((1, a), (2, b))
                          for L, e in zip(ring.letters, part) if e)
             for a, b in rows if any(a + b)]
     assume(gens)
-    I = MonomialIdeal(ring, gens)
+    return MonomialIdeal(ring, gens)
+
+
+@settings(max_examples=8, deadline=None)
+@given(high_exponent_ideals())
+def test_packed_fields_hold_high_exponents(I):
+    """Exponents up to 4, with degree up to 4 in each camera: the packed
+    field width, negative shifts and the guard-bit divisibility test agree
+    with the dense oracle."""
     d = tangent_dimension(I)
     assert tangent_dimension_with_triples(I) == d
     assert brute_tangent_dimension(I) == d
@@ -281,3 +367,26 @@ def test_packed_fields_on_named_high_exponent_ideals(text, expected):
     assert tangent_dimension(I) == expected
     assert tangent_dimension_with_triples(I) == expected
     assert brute_tangent_dimension(I) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_monomial_ideals())
+def test_components_match_eager_reference(I):
+    assert_matches_eager(I)
+
+
+@settings(max_examples=30, deadline=None)
+@given(high_exponent_ideals())
+def test_components_match_eager_reference_at_high_exponents(I):
+    assert_matches_eager(I)
+
+
+def test_divisor_outside_the_lowest_variable_bucket():
+    """At the shift y2/x2 the lcm x1*x2*z1*z2 becomes x1*y2*z1*z2: its
+    lowest variable is x1, but its only divisor z1*z2 is indexed under z1.
+    Missing it would zero the vertex x1*x2 there."""
+    ring = Ring(2)
+    I = MonomialIdeal(ring, [parse_monomial(ring, t)
+                             for t in ("x1*x2", "z1*z2")])
+    assert tangent_dimension(I) == brute_tangent_dimension(I) == 14
+    assert_matches_eager(I)
