@@ -10,8 +10,8 @@ from dataclasses import dataclass
 from math import comb, prod
 
 from .monomial import (
-    MonomialIdeal, _sort_key, ideal_key, multiview_hilbert_mismatch,
-    multiview_profiles, symmetry_orbits,
+    MonomialIdeal, _mask_images, _packed_key, _packed_rows, _sort_key,
+    multiview_hilbert_mismatch, multiview_profiles,
 )
 from .polyring import Ring, format_monomial
 from .tangent import tangent_dimension
@@ -103,46 +103,97 @@ def _search(groups, supersets, chosen=()):
     return results
 
 
-def _swap_table(ring, S, T):
-    """Each support mask's image under the letter transpositions that carry
-    S's one letter onto T's in each camera (S and T of one profile)."""
-    n, nv = ring.n, ring.nvars
-    perm = list(range(nv))
-    for v in range(nv):
-        if S >> v & 1:   # w: T's letter in the camera of v
-            w = next(u for u in range(v % n, nv, n) if T >> u & 1)
-            perm[v], perm[w] = w, v
-    return [sum(1 << perm[v] for v in range(nv) if M >> v & 1)
-            for M in range(1 << nv)]
+def _pattern_orbits(ring, psi):
+    """The orbits of the pair patterns under the group (S3)^n x| S_n, as
+    (representative, orbit size) pairs.  A pair pattern picks one of the 9
+    supports of each pair profile e_i+e_j.  Each such profile has psi 1 and
+    every profile below it psi 0, so every answer holds exactly one pattern,
+    and the group maps the answers through a pattern one-to-one onto those
+    through its image."""
+    n = ring.n
+    pairs = list(itertools.combinations(range(n), 2))
+    for pair in pairs:
+        k = tuple(int(c in pair) for c in range(n))
+        below = [h for h in psi
+                 if h != k and all(a <= b for a, b in zip(h, k))]
+        if psi[k] != 1 or any(psi[h] for h in below):
+            raise AssertionError("pair profile %r breaks the pattern premise"
+                                 % (k,))
+    blocks = ring.blocks()
+    supports = [[1 << u | 1 << v for u in blocks[i] for v in blocks[j]]
+                for i, j in pairs]
+    orbits, seen = [], set()
+    for pattern in itertools.product(*supports):
+        if _packed_key(pattern) not in seen:
+            images = set(_packed_rows(_mask_images(n, pattern)))
+            seen |= images
+            orbits.append((pattern, len(images)))
+    return orbits
 
 
-def monomial_ideal_census(n):
+def _answer_orbits(ring, psi):
+    """The group orbits of the census answers, as one array per orbit with
+    a row of sorted support masks per member: the orbits of the search's
+    answers through one pattern of each pattern orbit.  Their members must
+    number the sum over pattern orbits of orbit size times answers."""
+    groups, supersets = _groups(ring.blocks(), psi)
+    known, orbits, expected = set(), [], 0
+    for pattern, size in _pattern_orbits(ring, psi):
+        answers = _search(groups, supersets, pattern)
+        expected += size * len(answers)
+        for masks in answers:
+            if _packed_key(masks) not in known:   # an orbit not yet listed
+                images = _mask_images(ring.n, masks)   # equal keys, equal rows
+                row = dict(zip(_packed_rows(images), itertools.count()))
+                known.update(row)
+                orbits.append(images[list(row.values())])
+    if len(known) != expected:
+        raise AssertionError("%d census ideals listed, %d counted by pattern "
+                             "orbits" % (len(known), expected))
+    return orbits
+
+
+def monomial_ideal_census(n, classes=None):
     """All squarefree-generated monomial ideals with the closed-form Hilbert
-    function: the search's answers through one epipolar support, mapped
-    onto those through the others by letter symmetry."""
+    function, sorted by ideal_key: the union of the group orbits of the
+    search's answers through one pattern of each pattern orbit.  A list
+    passed as classes receives the orbit classes as (representative,
+    members) pairs, in the order and form of symmetry_orbits."""
     if n not in (2, 3):
         raise ValueError("census implemented for n = 2 and n = 3")
+    import numpy as np
+
     ring = Ring(n)
     nv = ring.nvars
-    groups, supersets = _groups(ring.blocks(), _census_psi(ring))
-    # Per-camera letter permutations keep every profile, so they map the
-    # answers onto themselves.  The first profile that branches (e_{n-1}+e_n,
-    # the epipolar form's) has psi 1 and every one before it 0: each answer
-    # holds one of its supports T, and the answers through S0 map onto those.
-    firsts, _, psi, _ = next(g for g in groups if g[2])
-    if psi != 1:
-        raise AssertionError("first branching profile has psi %d" % psi)
-    through = _search(groups, supersets, firsts[:1])
+    orbits = _answer_orbits(ring, _census_psi(ring))
+    # Each image is an antichain already: its generators are ordered by a
+    # per-support key.  ideal_key compares the generators' places in
+    # monomial order, padded with -1 so that a prefix comes first.
     monos = [tuple((v, 1) for v in range(nv) if S >> v & 1)
              for S in range(1 << nv)]
-    # each answer is an antichain already; sort it by a per-support key
-    key = list(map(_sort_key(ring), monos))
-    ideals = [MonomialIdeal._of_minimal(
-                  ring, [monos[S] for S in sorted(map(table.__getitem__, gens),
-                                                  key=key.__getitem__)])
-              for table in (_swap_table(ring, firsts[0], T) for T in firsts)
-              for gens in through]
-    ideals.sort(key=ideal_key)
+    key = _sort_key(ring)
+    by_key = np.array(sorted(range(1 << nv), key=lambda S: key(monos[S])))
+    rank = np.argsort(by_key)
+    lex = np.argsort(sorted(range(1 << nv), key=monos.__getitem__))
+    lex = lex.astype(np.int16)   # small sort keys: 2 bytes per generator
+    width = max(rows.shape[1] for rows in orbits)
+    built, places, label = [], [], []
+    for c, rows in enumerate(orbits):
+        ranked = rank[rows]
+        ranked.sort(axis=1)
+        rows = by_key[ranked]
+        built += [MonomialIdeal._of_minimal(ring, [monos[S] for S in gens])
+                  for gens in rows.tolist()]
+        places.append(np.pad(lex[rows], ((0, 0), (0, width - rows.shape[1])),
+                             constant_values=-1))
+        label += [c] * len(rows)
+    ideals, members = [], [[] for _ in orbits]
+    for i in np.lexsort(np.concatenate(places).T[::-1]).tolist():
+        I, c = built[i], label[i]
+        if not members[c] and classes is not None:
+            classes.append((I, members[c]))
+        members[c].append(I)
+        ideals.append(I)
     return ideals
 
 
@@ -166,8 +217,8 @@ class CensusResult:
 
 def census(n, tangent=False):
     """Full census with orbit classes and optional per-class tangent data."""
-    ideals = monomial_ideal_census(n)
-    orbits = symmetry_orbits(ideals, strict=True)
+    orbits = []
+    ideals = monomial_ideal_census(n, orbits)
     tangents = {}
     if tangent:
         for idx, (rep, _) in enumerate(orbits):

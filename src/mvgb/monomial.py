@@ -563,18 +563,16 @@ def canonical_form(I):
     return tuple(masks[::-1]), len(keys)
 
 
-def _mask_images(I):
-    """For a squarefree ideal, the (|G|, gens) array whose row k holds the
-    sorted generator support masks of the image under group element k."""
+def _mask_images(n, masks):
+    """For support masks over the plain ring of n cameras, the
+    (|G|, len(masks)) array whose row k holds the sorted masks of their
+    images under group element k."""
     import numpy as np
 
-    B = np.zeros((I.ring.nvars, len(I.gens)), dtype=np.int64)
-    for gi, g in enumerate(I.gens):
-        for v, _ in g:
-            B[v, gi] = 1
-    masks = _group_bit_images(I.ring.n) @ B   # remapped support masks
-    masks.sort(axis=1)
-    return masks
+    B = np.array(masks, dtype=np.int64) >> np.arange(3 * n)[:, None] & 1
+    images = _group_bit_images(n) @ B   # remapped support masks
+    images.sort(axis=1)
+    return images
 
 
 def _packed_rows(masks):
@@ -605,6 +603,11 @@ def _orbit_key(I):
                 raise ValueError("orbits implemented for squarefree ideals")
             mask |= 1 << v
         masks.append(mask)
+    return _packed_key(masks)
+
+
+def _packed_key(masks):
+    """The int that _packed_rows gives the sorted masks as a row."""
     key = 1
     for mask in sorted(masks):
         key = key << 16 | mask
@@ -613,7 +616,7 @@ def _orbit_key(I):
 
 def _orbit_image_keys(I):
     """The set of keys of all images of the ideal over the whole group."""
-    return set(_packed_rows(_mask_images(I)))
+    return set(_packed_rows(_mask_images(I.ring.n, I.support_masks())))
 
 
 def symmetry_orbits(ideals, strict=False):

@@ -180,6 +180,16 @@ def test_census_artifacts(tmp_path, capsys):
     assert set(tangent["tangent_dimensions"].values()) == {8}
 
 
+def test_census_of_four_cameras_exits_2(tmp_path, capsys):
+    out = tmp_path / "census"
+    with pytest.raises(SystemExit) as exc:
+        main(["hilbscheme", "census", "--n", "4", "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 4" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_input_errors_exit_2(tmp_path, capsys):
     assert main(["hilb", str(tmp_path / "missing.txt"), "--u", "1,1"]) == 2
     capsys.readouterr()

@@ -2,19 +2,21 @@ import functools
 import hashlib
 import itertools
 import operator
-from math import comb, prod
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mvgb import hilbscheme
 from mvgb.hilbscheme import (
-    _census_psi, _groups, _search, census, census_hash,
+    _census_psi, _groups, _pattern_orbits, _search, census, census_hash,
     has_multiview_hilbert_function, monomial_ideal_census,
 )
 from mvgb.monomial import (
-    MonomialIdeal, collinear_initial_ideal, generic_initial_ideal,
-    ideal_key, ideal_lines, is_borel_fixed,
+    MonomialIdeal, canonical_form, collinear_initial_ideal,
+    generic_initial_ideal, ideal_key, ideal_lines, is_borel_fixed,
+    symmetry_orbits,
 )
 from mvgb.polyring import Ring, parse_monomial
 
@@ -222,38 +224,113 @@ def test_started_search_finds_the_answers_through_its_start(sizes, data):
                 {u for u in full_up if u & up == up}
 
 
-@pytest.mark.parametrize("n, through", [(2, 1), (3, 1536)])
-def test_census_by_letter_symmetry_matches_the_full_search(n, through):
-    """The census searches below the first epipolar support only (1536 of
-    the 13824 answers at n = 3) and maps the answers onto the other eight;
+@pytest.mark.parametrize("n, orbits, walked", [(2, 1, 1), (3, 4, 146)])
+def test_census_by_pattern_orbits_matches_the_full_search(n, orbits, walked):
+    """The census walks the answers through one pattern of each pattern
+    orbit (146 of the 13824 answers at n = 3) and lists their group orbits;
     its up-sets are those of the search with no start."""
     ring = Ring(n)
-    groups, supersets = _groups(ring.blocks(), _census_psi(ring))
+    psi = _census_psi(ring)
+    groups, supersets = _groups(ring.blocks(), psi)
 
     def up_sets(answers):
         return {functools.reduce(operator.or_,
                                  (supersets[S] for S in masks), 0)
                 for masks in answers}
 
-    first = next(masks for masks, _, psi, _ in groups if psi)
-    assert len(first) == 9
-    assert len(_search(groups, supersets, first[:1])) == through
+    reps = _pattern_orbits(ring, psi)
+    through = [len(_search(groups, supersets, pattern))
+               for pattern, _ in reps]
+    assert (len(reps), sum(through)) == (orbits, walked)
+    if n == 3:
+        assert sorted(zip((size for _, size in reps), through)) == \
+            [(27, 88), (162, 44), (216, 2), (324, 12)]
     full = _search(groups, supersets)
     ideals = monomial_ideal_census(n)
-    assert len(ideals) == len(full) == 9 * through
+    assert len(ideals) == len(full) == \
+        sum(size * t for (_, size), t in zip(reps, through))
     assert up_sets(I.support_masks() for I in ideals) == up_sets(full)
+
+
+@pytest.mark.parametrize("n, orbits", [(2, 1), (3, 4), (4, 45)])
+def test_pattern_orbits_partition_the_patterns(n, orbits):
+    """Each pattern orbit's size divides |G| = 6^n n!, and the sizes sum to
+    the 9^C(n,2) patterns."""
+    ring = Ring(n)
+    sizes = [size for _, size in _pattern_orbits(ring, _census_psi(ring))]
+    assert len(sizes) == orbits
+    assert sum(sizes) == 9 ** comb(n, 2)
+    assert all(6 ** n * factorial(n) % size == 0 for size in sizes)
+
+
+def _pattern_ideal(ring, pattern):
+    return MonomialIdeal(ring, [tuple((v, 1) for v in range(ring.nvars)
+                                      if S >> v & 1) for S in pattern])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(0, 8), min_size=3, max_size=3))
+def test_a_pattern_has_as_many_answers_as_its_orbit_representative(picks):
+    """The group maps the answers through a pattern one-to-one onto those
+    through its image: a drawn n = 3 pattern, placed in its orbit by
+    canonical_form, has as many answers as the orbit's representative."""
+    ring = Ring(3)
+    psi = _census_psi(ring)
+    groups, supersets = _groups(ring.blocks(), psi)
+    blocks = ring.blocks()
+    pattern = [1 << blocks[i][p // 3] | 1 << blocks[j][p % 3]
+               for (i, j), p in zip(itertools.combinations(range(3), 2),
+                                    picks)]
+    form = canonical_form(_pattern_ideal(ring, pattern))
+    rep, = [rep for rep, _ in _pattern_orbits(ring, psi)
+            if canonical_form(_pattern_ideal(ring, rep)) == form]
+    assert len(_search(groups, supersets, pattern)) == \
+        len(_search(groups, supersets, rep))
+
+
+def test_census_classes_are_the_strict_orbit_walk(census3):
+    """census() reads its classes off the image sets of the walked answers;
+    symmetry_orbits(strict=True) must find the same representatives and
+    members, in the same order."""
+    for res in (census(2), census3):
+        assert res.ideals == sorted(res.ideals, key=ideal_key)
+        assert res.orbits == symmetry_orbits(res.ideals, strict=True)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: census(1), lambda: census(4),
+    lambda: monomial_ideal_census(4),
+], ids=["census1", "census4", "monomial_ideal_census4"])
+def test_census_refuses_other_camera_counts_before_searching(monkeypatch,
+                                                             call):
+    """n = 4 would list 3.35e9 ideals: the census refuses before any
+    search."""
+    def searched(*args):
+        raise AssertionError("searched")
+
+    for name in ("_groups", "_search", "_pattern_orbits"):
+        monkeypatch.setattr(hilbscheme, name, searched)
+    with pytest.raises(ValueError, match="n = 2 and n = 3"):
+        call()
 
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_first_branching_profile_is_the_epipolar_one_with_psi_one(n):
     """In level order the first profile with a positive count is
-    e_{n-1}+e_n, the support profile of the epipolar form, with count 1:
-    the census's letter-symmetry mapping rests on it."""
+    e_{n-1}+e_n, the support profile of the epipolar form, with count 1;
+    every pair profile e_i+e_j has count 1 and every profile below it
+    count 0, which the pattern orbits of the census rest on."""
     psi = _census_psi(Ring(n))
     first = next(k for k in sorted(psi, key=lambda k: (sum(k), k))
                  if psi[k])
     assert first == (0,) * (n - 2) + (1, 1)
     assert psi[first] == 1
+    for pair in itertools.combinations(range(n), 2):
+        k = tuple(int(c in pair) for c in range(n))
+        assert psi[k] == 1
+        below = [h for h in itertools.product(*(range(a + 1) for a in k))
+                 if h != k]
+        assert len(below) == 3 and not any(psi[h] for h in below)
 
 
 def test_groups_leave_out_only_caps_that_cannot_bind():
