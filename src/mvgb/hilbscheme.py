@@ -10,8 +10,8 @@ from dataclasses import dataclass
 from math import comb, prod
 
 from .monomial import (
-    MonomialIdeal, _mask_images, _packed_key, _packed_rows, _sort_key,
-    multiview_hilbert_mismatch, multiview_profiles,
+    MonomialIdeal, _orbits, _sort_key, multiview_hilbert_mismatch,
+    multiview_profiles,
 )
 from .polyring import Ring, format_monomial
 from .tangent import tangent_dimension
@@ -122,13 +122,8 @@ def _pattern_orbits(ring, psi):
     blocks = ring.blocks()
     supports = [[1 << u | 1 << v for u in blocks[i] for v in blocks[j]]
                 for i, j in pairs]
-    orbits, seen = [], set()
-    for pattern in itertools.product(*supports):
-        if _packed_key(pattern) not in seen:
-            images = set(_packed_rows(_mask_images(n, pattern)))
-            seen |= images
-            orbits.append((pattern, len(images)))
-    return orbits
+    return [(pattern, len(keys)) for pattern, _, keys
+            in _orbits(n, itertools.product(*supports))]
 
 
 def _answer_orbits(ring, psi):
@@ -137,19 +132,15 @@ def _answer_orbits(ring, psi):
     answers through one pattern of each pattern orbit.  Their members must
     number the sum over pattern orbits of orbit size times answers."""
     groups, supersets = _groups(ring.blocks(), psi)
-    known, orbits, expected = set(), [], 0
+    walked, expected = [], 0
     for pattern, size in _pattern_orbits(ring, psi):
-        answers = _search(groups, supersets, pattern)
-        expected += size * len(answers)
-        for masks in answers:
-            if _packed_key(masks) not in known:   # an orbit not yet listed
-                images = _mask_images(ring.n, masks)   # equal keys, equal rows
-                row = dict(zip(_packed_rows(images), itertools.count()))
-                known.update(row)
-                orbits.append(images[list(row.values())])
-    if len(known) != expected:
+        walked.append(_search(groups, supersets, pattern))
+        expected += size * len(walked[-1])
+    orbits = [rows for _, rows, _
+              in _orbits(ring.n, itertools.chain.from_iterable(walked))]
+    if sum(map(len, orbits)) != expected:
         raise AssertionError("%d census ideals listed, %d counted by pattern "
-                             "orbits" % (len(known), expected))
+                             "orbits" % (sum(map(len, orbits)), expected))
     return orbits
 
 

@@ -554,69 +554,58 @@ def canonical_form(I):
     """The lexicographically minimal sorted support masks over the images of
     a squarefree ideal under the whole group, and the size of its orbit
     (the number of distinct images)."""
-    _orbit_key(I)   # the input checks of symmetry_orbits
-    keys = _orbit_image_keys(I)
-    key, masks = min(keys), []   # keys of one length: least key, least masks
-    while key > 1:
-        key, mask = divmod(key, 1 << 16)
-        masks.append(mask)
-    return tuple(masks[::-1]), len(keys)
+    (_, rows, keys), = _orbits(I.ring.n, [_orbit_masks(I)])
+    return tuple(rows[keys.index(min(keys))].tolist()), len(keys)
 
 
-def _mask_images(n, masks):
-    """For support masks over the plain ring of n cameras, the
-    (|G|, len(masks)) array whose row k holds the sorted masks of their
-    images under group element k."""
-    import numpy as np
+def _orbit_masks(I):
+    """The support masks of I, checked: squarefree, plain ring, n <= 5."""
+    plain_ring(I.ring, "symmetry orbits")
+    if I.ring.n > 5:   # a table of 6^n n! rows; 3n-bit masks in 16-bit slots
+        raise ValueError("symmetry orbits take at most 5 cameras, not %d"
+                         % I.ring.n)
+    if not I.is_squarefree():
+        raise ValueError("orbits implemented for squarefree ideals")
+    return I.support_masks()
 
-    B = np.array(masks, dtype=np.int64) >> np.arange(3 * n)[:, None] & 1
-    images = _group_bit_images(n) @ B   # remapped support masks
-    images.sort(axis=1)
-    return images
 
-
-def _packed_rows(masks):
-    """One int per row of a 2-D array of sorted support masks: the masks in
-    big-endian 16-bit slots behind a leading 1 that keeps lengths apart
-    (_orbit_key admits at most 5 cameras, 15 variables)."""
-    import numpy as np
-
-    masks = np.asarray(masks, dtype=">u2")
+def _orbit_key(masks):
+    """The int key of a list of support masks: the masks sorted, in 16-bit
+    slots behind a leading 1 that keeps lengths apart, so that keys of one
+    length compare as their sorted masks do.  A 2-D array whose rows hold
+    sorted masks gives the list of its rows' keys, read off its bytes."""
+    if getattr(masks, "ndim", 1) == 1:
+        key = 1
+        for mask in sorted(masks):
+            key = key << 16 | mask
+        return key
     width = 2 * masks.shape[1]
-    raw = masks.tobytes()
-    top = 1 << 8 * width
+    raw, top = masks.astype(">u2").tobytes(), 1 << 8 * width
     return [top | int.from_bytes(raw[k * width:(k + 1) * width], "big")
             for k in range(len(masks))]
 
 
-def _orbit_key(I):
-    """The key under which _orbit_image_keys lists the ideal itself."""
-    plain_ring(I.ring, "symmetry orbits")
-    if I.ring.n > 5:   # the group table would hold 6^n n! rows
-        raise ValueError("symmetry orbits take at most 5 cameras, not %d"
-                         % I.ring.n)
-    masks = []
-    for g in I.gens:   # support masks and the squarefree check in one pass
-        mask = 0
-        for v, e in g:
-            if e != 1:
-                raise ValueError("orbits implemented for squarefree ideals")
-            mask |= 1 << v
-        masks.append(mask)
-    return _packed_key(masks)
+def _orbits(n, mask_lists):
+    """Walk lists of support masks over the plain ring of n cameras, opening
+    the orbit of each list whose key no earlier orbit holds: yields (masks,
+    rows, keys), rows the array of the distinct sorted masks of its images
+    under the group and keys their _orbit_key in row order."""
+    import numpy as np
 
-
-def _packed_key(masks):
-    """The int that _packed_rows gives the sorted masks as a row."""
-    key = 1
-    for mask in sorted(masks):
-        key = key << 16 | mask
-    return key
-
-
-def _orbit_image_keys(I):
-    """The set of keys of all images of the ideal over the whole group."""
-    return set(_packed_rows(_mask_images(I.ring.n, I.support_masks())))
+    known = set()
+    for masks in mask_lists:
+        if _orbit_key(masks) in known:
+            continue
+        bits = np.array(masks, dtype=np.int64) >> np.arange(3 * n)[:, None] & 1
+        images = _group_bit_images(n) @ bits   # remapped support masks
+        images.sort(axis=1)
+        # the first of each distinct row, each row read as one opaque value
+        first = np.unique(images.astype("u2").view("V%d" % (2 * len(masks))),
+                          return_index=True)[1] if masks else [0]
+        images = images[first]
+        keys = _orbit_key(images)
+        known.update(keys)
+        yield masks, images, keys
 
 
 def symmetry_orbits(ideals, strict=False):
@@ -633,25 +622,19 @@ def symmetry_orbits(ideals, strict=False):
     the representative is the member with the smallest key.
     """
     ideals = list(ideals)
-    index = {}   # orbit key -> input positions; a duplicate adds a position
+    masks, index = [], {}   # index: orbit key -> input positions
     for pos, I in enumerate(ideals):
         if I.ring != ideals[0].ring:
             raise ValueError("ideals from different rings: %r and %r"
                              % (ideals[0].ring, I.ring))
-        index.setdefault(_orbit_key(I), []).append(pos)
+        masks.append(_orbit_masks(I))
+        index.setdefault(_orbit_key(masks[-1]), []).append(pos)
     orbits = []
-    for I in ideals:
-        if I is None:   # already placed in an earlier orbit
-            continue
-        images = _orbit_image_keys(I)
-        found = [index.pop(k) for k in images if k in index]
-        if strict and len(found) != len(images):
+    for _, _, keys in _orbits(ideals[0].ring.n if ideals else 0, masks):
+        found = [index.pop(k) for k in keys if k in index]
+        if strict and len(found) != len(keys):
             raise ValueError("ideal set is not closed under the action")
-        members = []
-        for p in sorted(q for ps in found for q in ps):
-            members.append(ideals[p])
-            ideals[p] = None
-        members.sort(key=ideal_key)
+        members = sorted((ideals[q] for p in found for q in p), key=ideal_key)
         orbits.append((members[0], members))
     orbits.sort(key=lambda o: ideal_key(o[0]))
     return orbits

@@ -8,7 +8,7 @@ import itertools
 from functools import reduce
 
 from .monomial import collinear_initial_ideal, standard_monomials
-from .polyring import Ring, format_monomial, m_deg, m_from_pairs, m_lcm
+from .polyring import Ring, format_monomial, m_deg, m_from_pairs, m_lcm, m_one
 
 __all__ = [
     "tangent_dimension", "collinear_tangent_maps",
@@ -69,6 +69,8 @@ def _free_components(I, subsets):
     its support alone.  Each product is tested once per call: the same one
     recurs across shifts.
     """
+    if m_one in I.gens:   # S/I = 0 has no maps, 1 no lowest variable
+        return []
     width = (2 * max(map(m_deg, I.gens), default=0) + 1).bit_length() + 1
     low = sum(1 << v * width for v in range(I.ring.nvars))
     guard = low << width - 1

@@ -51,6 +51,13 @@ def test_hilb_on_monomial_ideal(tmp_path, capsys):
     assert payload["tangent_dimension"] == 8
 
 
+def test_tangent_of_the_unit_ideal_is_zero(tmp_path, capsys):
+    path = tmp_path / "one.txt"
+    path.write_text("1\n")
+    rc, payload = run(capsys, "tangent", str(path), "--n", "2")
+    assert rc == 0 and payload["tangent_dimension"] == 0
+
+
 def test_gb_and_nf_and_elim(tmp_path, capsys):
     path = tmp_path / "i.txt"
     path.write_text("x1^2 - y1\nx1^3 - z1\n# comment\n")

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvgb import hilbscheme
+from mvgb import hilbscheme, monomial
 from mvgb.hilbscheme import (
     _census_psi, _groups, _pattern_orbits, _search, census, census_hash,
     has_multiview_hilbert_function, monomial_ideal_census,
@@ -19,6 +19,10 @@ from mvgb.monomial import (
     symmetry_orbits,
 )
 from mvgb.polyring import Ring, parse_monomial
+from mvgb.toric import (
+    cayley_matrix, enumerate_initial_ideals, symmetry_classes, toric_ideal,
+    variable_kernel_rows,
+)
 
 # content hash of the canonically serialized three-camera census, fixed at
 # the first verified run
@@ -295,6 +299,33 @@ def test_census_classes_are_the_strict_orbit_walk(census3):
     for res in (census(2), census3):
         assert res.ideals == sorted(res.ideals, key=ideal_key)
         assert res.orbits == symmetry_orbits(res.ideals, strict=True)
+
+
+def _toric3_initial_ideals():
+    cm3 = cayley_matrix(3)
+    return [nd.initial for nd in enumerate_initial_ideals(
+        toric_ideal(cm3), kernel_rows=variable_kernel_rows(cm3))]
+
+
+@pytest.mark.parametrize("call, opened", [
+    (lambda: monomial_ideal_census(2), 2),
+    (lambda: monomial_ideal_census(3), 4 + 16),
+    (lambda: symmetry_classes(_toric3_initial_ideals()), 3),
+], ids=["census2", "census3", "toric3_classes"])
+def test_each_orbit_is_opened_once(monkeypatch, call, opened):
+    """Opening an orbit reads the group table once: the census opens one
+    orbit per pattern orbit and per answer orbit (4 + 16 at n = 3), and
+    classing the 20 toric(3) initial ideals opens their 3 orbits."""
+    reads = []
+
+    def table(n):
+        reads.append(n)
+        return group_bit_images(n)
+
+    group_bit_images = monomial._group_bit_images
+    monkeypatch.setattr(monomial, "_group_bit_images", table)
+    call()
+    assert len(reads) == opened
 
 
 @pytest.mark.parametrize("call", [

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from mvgb.groebner import hilbert_value, permuted_block_lex_orders
 from mvgb.hilbscheme import monomial_ideal_census
 from mvgb.monomial import (
-    MonomialIdeal, _orbit_image_keys, _orbit_key, _packed_rows,
-    canonical_form, collinear_initial_ideal,
+    MonomialIdeal, _orbit_key, _orbits, canonical_form,
+    collinear_initial_ideal,
     generic_initial_ideal, generic_shelling_order, ideal_key, is_borel_fixed,
     is_shelling, minimal_primes, multidegree_support,
     multiview_hilbert_function, multiview_hilbert_mismatch,
@@ -521,10 +521,33 @@ def test_canonical_form_matches_explicit_orbit(data):
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_orbit_key_is_the_packed_sorted_masks(data):
-    # the int-shift key of an ideal is the packed row of its own sorted
-    # masks, so it is among the keys of its images
-    I = data.draw(ideals(Ring(data.draw(st.integers(2, 4)))))
-    key = _orbit_key(I)
-    assert key == _packed_rows([sorted(I.support_masks())])[0]
-    assert key in _orbit_image_keys(I)
+def test_orbits_open_each_orbit_once_with_its_images(data):
+    # _orbits against explicit relabeling: each list whose orbit no earlier
+    # list opened yields the distinct sorted masks of its images, keyed by
+    # _orbit_key row by row, and a key is the sorted masks in 16-bit slots
+    ring = RINGS[data.draw(st.sampled_from((2, 3)))]
+    found = data.draw(st.lists(ideals(ring), min_size=1, max_size=5))
+    for I in data.draw(st.lists(st.sampled_from(found), max_size=3)):
+        tau = data.draw(st.permutations(range(ring.n)))
+        perms = data.draw(st.lists(st.permutations(range(3)),
+                                   min_size=ring.n, max_size=ring.n))
+        found.append(relabel(I, tau, perms))
+    found = data.draw(st.permutations(found))
+    lists = [I.support_masks() for I in found]
+    images = [{tuple(sorted(J.support_masks())) for J in orbit_of(I)}
+              for I in found]
+    opened = [i for i, I in enumerate(found)
+              if not any(tuple(sorted(lists[j])) in images[i]
+                         for j in range(i))]
+    got = list(_orbits(ring.n, lists))
+    assert [next(i for i, m in enumerate(lists) if m is masks)
+            for masks, _, _ in got] == opened
+    for (masks, rows, keys), i in zip(got, opened):
+        rows = [tuple(r) for r in rows.tolist()]
+        assert len(set(rows)) == len(rows)
+        assert set(rows) == images[i]
+        assert keys == [_orbit_key(r) for r in rows]
+    for masks in lists:
+        assert _orbit_key(masks) == sum(
+            m << 16 * k for k, m in enumerate([*sorted(masks, reverse=True),
+                                               1]))

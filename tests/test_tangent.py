@@ -192,6 +192,13 @@ def test_principal_bilinear_ideals_have_dimension_eight():
             assert tangent_dimension(I) == 8
 
 
+def test_unit_ideal_has_dimension_zero():
+    # S/<1> = 0: no monomial is standard, so there is no map
+    I = MonomialIdeal(Ring(2), [()])
+    assert tangent_dimension(I) == 0
+    assert eager_free_components(I, itertools.combinations(I.gens, 2)) == []
+
+
 def test_collinear_ideal_dimensions():
     for n in (3, 4, 5):
         assert tangent_dimension(collinear_initial_ideal(n)) == 11 * n - 15
