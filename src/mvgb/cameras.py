@@ -1,5 +1,5 @@
 """Camera configurations and their multiview ideals: genericity tests, the
-stacked camera-variable matrices and their maximal minors, and the
+maximal minors of the stacked camera-variable matrices, and the
 torus-fixed and collinear camera families.  The minor of a camera pair is
 the epipolar form: its coefficients are the fundamental matrix, and it is
 zero exactly when the two focal points coincide."""
@@ -18,8 +18,8 @@ from .polyring import Polynomial, Ring, m_from_pairs, m_var
 
 __all__ = [
     "CameraConfig", "FocalPoint", "focal_points", "is_generic",
-    "stacked_camera_matrix", "sigma_minor", "multiview_generators",
-    "minimal_multiview_generators", "multiview_ideal", "fundamental_matrix",
+    "sigma_minor", "multiview_generators", "minimal_multiview_generators",
+    "multiview_ideal", "fundamental_matrix",
     "epipolar_form", "toric_cameras", "collinear_cameras",
     "extend_to_invertible", "diagonal_embedding_ideal",
     "multiview_ideal_via_elimination", "in_linearly_general_position",
@@ -200,26 +200,6 @@ def _checked_sigma(config, sigma):
     return sigma
 
 
-def stacked_camera_matrix(config, sigma):
-    """The block matrix pairing camera rows with one variable column per
-    camera of sigma: 3s x (s+4) entries.  Entries are polynomials."""
-    sigma = _checked_sigma(config, sigma)
-    ring = config.ring()
-    s = len(sigma)
-    rows = []
-    for b, cam in enumerate(sigma):
-        for r, letter in enumerate(ring.letters):
-            row = [Polynomial.constant(ring, e)
-                   for e in config.matrices[cam - 1].rows[r]]
-            for bb in range(s):
-                if bb == b:
-                    row.append(Polynomial.variable(ring, letter, cam))
-                else:
-                    row.append(Polynomial.zero(ring))
-            rows.append(row)
-    return Matrix(rows)
-
-
 def sigma_minor(config, sigma, rows):
     """Maximal minor of the stacked matrix for the given global row subset,
     expanded as a sum of variable products times camera brackets.
@@ -393,17 +373,3 @@ def multiview_ideal_via_elimination(config):
     elim = eliminate(diagonal_embedding_ideal(config), range(base.nvars))
     return IdealPresentation(base, [p.in_ring(base) for p in elim.generators])
 
-
-def rescale_cameras(config, scalars):
-    return CameraConfig([m * Fraction(c)
-                         for m, c in zip(config.matrices, scalars)])
-
-
-def world_transform(config, q):
-    """Right-multiply every camera by an invertible 4x4 matrix."""
-    return CameraConfig([m * q for m in config.matrices])
-
-
-def image_transform(config, gs):
-    """Left-multiply camera i by an invertible 3x3 matrix g_i."""
-    return CameraConfig([g * m for g, m in zip(gs, config.matrices)])

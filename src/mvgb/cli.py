@@ -10,6 +10,7 @@ import os
 import sys
 import warnings
 from fractions import Fraction
+from math import comb, prod
 
 from . import checks
 from . import degeneration as deg
@@ -28,7 +29,8 @@ from .polyring import (
 )
 
 SCHEMA_VERSION = 1
-# largest multidegree entry for --u, and most values in a --box table
+# largest multidegree entry for --u, most values in a --box table, and
+# most monomials listed over the generator multidegrees for tangent
 MAX_HILB = 10 ** 6
 
 
@@ -272,6 +274,11 @@ def cmd_decompose(args):
 
 def cmd_tangent(args):
     I = _monomial_ideal_of(load_ideal(args.file, args.n))
+    # the weight blocks list every monomial of each generator multidegree
+    if sum(prod(comb(d + 2, 2) for d in u) for u in
+           {I.ring.multidegree(g) for g in I.gens}) > MAX_HILB:
+        raise InputError("the generator multidegrees hold more than %d "
+                         "monomials" % MAX_HILB)
     _emit({"schema_version": SCHEMA_VERSION,
            "tangent_dimension": tan.tangent_dimension(I)})
     return 0

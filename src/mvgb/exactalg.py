@@ -380,9 +380,6 @@ class Matrix:
         return Matrix([[self.rows[i][j] for i in range(self.nrows)]
                        for j in range(self.ncols)])
 
-    def submatrix(self, row_idx, col_idx):
-        return Matrix([[self.rows[i][j] for j in col_idx] for i in row_idx])
-
     def __mul__(self, other):
         if isinstance(other, Matrix):
             if self.ncols != other.nrows:
@@ -406,29 +403,9 @@ class Matrix:
         return "Matrix(%r)" % (self.rows,)
 
 
-def _cofactor_det(rows):
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    acc = None
-    for i in range(n):
-        c = rows[i][0]
-        if not c:
-            continue
-        minor = [r[1:] for k, r in enumerate(rows) if k != i]
-        term = c * _cofactor_det(minor)
-        if i % 2:
-            term = -term
-        acc = term if acc is None else acc + term
-    if acc is None:
-        return rows[0][0] - rows[0][0]
-    return acc
-
-
 def det(m):
-    """Exact determinant: the signed product of the pivots of _echelon for
-    scalar entries, in Q(e) when any entry is; division-free cofactor
-    expansion otherwise."""
+    """Exact determinant: the signed product of the pivots of _echelon, in
+    Q(e) when any entry is.  Entries must be Fractions or EpsRationals."""
     if m.nrows != m.ncols:
         raise ValueError("determinant requires a square matrix")
     n = m.nrows
@@ -437,7 +414,8 @@ def det(m):
     a = [list(r) for r in m.rows]
     kinds = {type(e) for r in a for e in r}
     if not kinds <= {Fraction, EpsRational}:
-        return _cofactor_det(a)
+        raise TypeError("determinant entries must be Fractions or "
+                        "EpsRationals")
     d = EpsRational(1) if EpsRational in kinds else Fraction(1)
     pivots, swaps = _echelon(a, n)
     if len(pivots) < n:

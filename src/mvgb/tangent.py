@@ -5,7 +5,6 @@ components of one weight graph per exponent shift."""
 from __future__ import annotations
 
 import itertools
-from functools import reduce
 
 from .monomial import collinear_initial_ideal, standard_monomials
 from .polyring import Ring, format_monomial, m_deg, m_from_pairs, m_lcm, m_one
@@ -38,24 +37,20 @@ def _weight_blocks(I):
     return blocks.items()
 
 
-def _free_components(I, subsets):
+def _free_components(I):
     """The free components of the weight graph of every exponent shift d, as
     (d, frozenset of generators) pairs.
 
     A degree-zero map of weight d sends each generator g to c_g * g*x^d, with
     c_g = 0 unless g*x^d is standard; the vertices of the graph of d are the
-    generators with g*x^d standard.  A subset A of generators whose lcm L
-    has L*x^d standard forces c_g equal on A: it ties its members in the
-    graph, and zeroes them when one of its members lies outside.  The maps
-    of weight d are spanned by the components that hold no zeroed vertex,
-    one map each (c_g = 1 on the component), so their number is the
-    dimension of Hom(I, S/I)_0.
-
-    The ties run first, over the subsets with two or more vertices; a block
-    of one vertex has none.  A lone subset, with a single vertex g, cannot
-    tie g to anything and can only zero it, so lone subsets are tested
-    after the union-find, per component that no tie already zeroed, up to
-    the first L*x^d found standard.
+    generators with g*x^d standard.  The pairwise lcm syzygies generate all
+    the others, so the constraints are one per pair g, h with lcm L: when
+    L*x^d is standard, c_g = c_h.  A pair of two vertices ties them in the
+    graph.  A pair with one vertex g forces c_g = 0, since c_h = 0: a lone
+    test, run after the union-find per component, up to the first L*x^d
+    found standard.  The maps of weight d are spanned by the components that
+    no lone test zeroes, one map each (c_g = 1 on the component), so their
+    number is the dimension of Hom(I, S/I)_0.
 
     Monomials are packed into ints, one field of w bits per variable, with
     2D < 2^(w-1) for the largest generator degree D.  Every field of
@@ -94,11 +89,11 @@ def _free_components(I, subsets):
                 for bit, qs in by_first.items() if support & bit for q in qs)
         return hit
 
-    through = {}
-    for A in subsets:
-        L = pack(reduce(m_lcm, A))
-        for g in A:
-            through.setdefault(g, []).append((A, L))
+    through = {g: [] for g in I.gens}
+    for g, h in itertools.combinations(I.gens, 2):
+        L = pack(m_lcm(g, h))
+        through[g].append((h, L))
+        through[h].append((g, L))
     out = []
     for d, members in _weight_blocks(I):
         shift = pack(d)
@@ -109,27 +104,16 @@ def _free_components(I, subsets):
                 parent[g] = g = parent[parent[g]]
             return g
 
-        lone = {g: [] for g in members}
-        zeroed = []
         for g in members:
-            for A, L in through.get(g, ()):
-                inside = [h for h in A if h in parent] if len(members) > 1 \
-                    else (g,)
-                if len(inside) == 1:
-                    lone[g].append(L)
-                elif inside[0] == g and not in_ideal(L + shift):
-                    for h in inside[1:]:
-                        parent[find(h)] = find(g)
-                    if len(inside) < len(A):
-                        zeroed.append(g)
-        dead = {find(g) for g in zeroed}
+            for h, L in through[g]:
+                if h in parent and not in_ideal(L + shift):
+                    parent[find(h)] = find(g)
         comps = {}
         for g in members:
-            root = find(g)
-            if root not in dead:
-                comps.setdefault(root, []).append(g)
+            comps.setdefault(find(g), []).append(g)
         out.extend((d, frozenset(c)) for c in comps.values()
-                   if all(in_ideal(L + shift) for g in c for L in lone[g]))
+                   if all(h in parent or in_ideal(L + shift)
+                          for g in c for h, L in through[g]))
     return out
 
 
@@ -137,7 +121,7 @@ def tangent_dimension(I):
     """Dimension of the space of degree-zero module maps I -> S/I: the
     number of free weight-graph components under the pairwise lcm syzygies.
     """
-    return len(_free_components(I, itertools.combinations(I.gens, 2)))
+    return len(_free_components(I))
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +237,7 @@ def verify_collinear_tangent_basis(n):
     ``missing`` component.
     """
     I = collinear_initial_ideal(n)
-    comps = set(_free_components(I, itertools.combinations(I.gens, 2)))
+    comps = set(_free_components(I))
     maps = collinear_tangent_maps(n)
     details = {"count": len(maps), "expected": 11 * n - 15,
                "tangent_dimension": len(comps)}

@@ -11,17 +11,17 @@ from hypothesis import strategies as st
 
 from mvgb.cameras import (
     CameraConfig, collinear_cameras, epipolar_form,
-    extend_to_invertible, focal_points, fundamental_matrix, image_transform,
+    extend_to_invertible, focal_points, fundamental_matrix,
     in_linearly_general_position, is_generic, minimal_multiview_generators,
     multiview_generators, multiview_ideal, multiview_ideal_via_elimination,
-    projectively_equal, rescale_cameras, sigma_minor, stacked_camera_matrix,
-    toric_cameras, world_transform,
+    projectively_equal, sigma_minor, toric_cameras,
 )
 from mvgb.exactalg import Matrix, det, eps, rank
 from mvgb.groebner import (
     hilbert_value, ideal, ideal_equal, normal_form, reduced_groebner_basis,
 )
 from mvgb.polyring import Polynomial, Ring, format_polynomial, parse_polynomial
+from test_exactalg import cofactor_det
 
 
 def random_config(rng, n):
@@ -88,7 +88,7 @@ def test_focal_point_invariant_under_image_transform():
                 [Fraction(0), Fraction(1), Fraction(1)],
                 [Fraction(1), Fraction(0), Fraction(1)]])
     assert det(g) != 0
-    c2 = image_transform(c, [g, Matrix.identity(3)])
+    c2 = CameraConfig([g * c.matrices[0], c.matrices[1]])
     f1, f2 = focal_points(c), focal_points(c2)
     for a, b in zip(f1, f2):
         assert projectively_equal(a.coords, b.coords)
@@ -111,19 +111,6 @@ def test_is_generic():
     assert not is_generic(c2)[0]
 
 
-def test_stacked_matrix_shapes():
-    rng = random.Random(5)
-    c = random_config(rng, 4)
-    assert (stacked_camera_matrix(c, (1, 2)).nrows,
-            stacked_camera_matrix(c, (1, 2)).ncols) == (6, 6)
-    assert (stacked_camera_matrix(c, (1, 2, 3)).nrows,
-            stacked_camera_matrix(c, (1, 2, 3)).ncols) == (9, 7)
-    assert (stacked_camera_matrix(c, (1, 2, 3, 4)).nrows,
-            stacked_camera_matrix(c, (1, 2, 3, 4)).ncols) == (12, 8)
-    with pytest.raises(ValueError):
-        stacked_camera_matrix(c, (1,))
-
-
 def rational_config(rng, n):
     """A configuration whose entries have denominators up to 7."""
     while True:
@@ -135,20 +122,37 @@ def rational_config(rng, n):
             continue
 
 
+def stacked_camera_rows(config, sigma):
+    """The 3s x (s+4) block matrix of polynomials whose maximal minors
+    sigma_minor expands: camera rows, then one variable column per camera
+    of sigma."""
+    ring = config.ring()
+    rows = []
+    for b, cam in enumerate(sigma):
+        for r, letter in enumerate(ring.letters):
+            rows.append(
+                [Polynomial.constant(ring, e)
+                 for e in config.matrices[cam - 1].rows[r]]
+                + [Polynomial.variable(ring, letter, cam) if bb == b
+                   else Polynomial.zero(ring) for bb in range(len(sigma))])
+    return rows
+
+
 def test_sigma_minor_matches_determinant_oracle():
     # integer, non-integer rational, Q(e), and Q(e) with non-integer rows
     rng = random.Random(11)
     configs = [random_config(rng, 3), rational_config(rng, 3),
                collinear_cameras(3),
-               rescale_cameras(collinear_cameras(3), [Fraction(1, 2), 3, 1])]
+               CameraConfig([m * Fraction(k) for m, k in zip(
+                   collinear_cameras(3).matrices, [Fraction(1, 2), 3, 1])])]
     for c in configs:
         for sigma in [(1, 2), (2, 3), (1, 2, 3)]:
             s = len(sigma)
-            A = stacked_camera_matrix(c, sigma)
+            A = stacked_camera_rows(c, sigma)
             subsets = list(itertools.combinations(range(3 * s), s + 4))
             rng.shuffle(subsets)
             for rows in subsets[:6]:
-                oracle = det(A.submatrix(rows, range(s + 4)))
+                oracle = cofactor_det([A[r] for r in rows])
                 assert sigma_minor(c, sigma, rows) == oracle
 
 
@@ -157,8 +161,8 @@ BRACKET_CONFIGS = {
     "rational": rational_config(random.Random(13), 3),
     "eps": collinear_cameras(3),
     "eps_at_2/3": collinear_cameras(3, Fraction(2, 3)),
-    "eps_rational": rescale_cameras(
-        collinear_cameras(3), [Fraction(1, 2), Fraction(-3, 5), 4]),
+    "eps_rational": CameraConfig([m * Fraction(k) for m, k in zip(
+        collinear_cameras(3).matrices, [Fraction(1, 2), Fraction(-3, 5), 4])]),
 }
 global_rows = st.one_of(
     st.permutations(range(9)).map(lambda p: p[:4]),
@@ -296,13 +300,14 @@ def test_ideal_invariance_under_rescaling_and_world_transform():
     rng = random.Random(31)
     c = random_config(rng, 3)
     I = multiview_ideal(c)
-    scaled = rescale_cameras(c, [Fraction(2), Fraction(-3), Fraction(5, 7)])
+    scaled = CameraConfig([m * k for m, k in zip(
+        c.matrices, [Fraction(2), Fraction(-3), Fraction(5, 7)])])
     assert reduced_groebner_basis(I) == \
         reduced_groebner_basis(multiview_ideal(scaled))
     q = Matrix([[Fraction(x) for x in row] for row in
                 [[1, 0, 2, 0], [0, 1, 0, 0], [1, 0, 1, 0], [0, 3, 0, 1]]])
     assert det(q) != 0
-    moved = world_transform(c, q)
+    moved = CameraConfig([m * q for m in c.matrices])
     assert reduced_groebner_basis(I) == \
         reduced_groebner_basis(multiview_ideal(moved))
 

@@ -58,6 +58,16 @@ def test_tangent_of_the_unit_ideal_is_zero(tmp_path, capsys):
     assert rc == 0 and payload["tangent_dimension"] == 0
 
 
+def test_tangent_rejects_too_many_block_monomials(tmp_path, capsys):
+    # 1891^2 monomials of multidegree (60, 60), above MAX_HILB
+    path = tmp_path / "big.txt"
+    path.write_text("x1^60*y2^60\n")
+    assert main(["tangent", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and not captured.out
+    assert "Traceback" not in captured.err
+
+
 def test_gb_and_nf_and_elim(tmp_path, capsys):
     path = tmp_path / "i.txt"
     path.write_text("x1^2 - y1\nx1^3 - z1\n# comment\n")

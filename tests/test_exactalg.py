@@ -21,7 +21,8 @@ from mvgb.toric import cayley_matrix, lattice_kernel_basis
 
 
 def cofactor_det(rows):
-    """Independent determinant oracle by first-column expansion."""
+    """Independent determinant oracle by first-column expansion; it needs
+    only ring operations, so it also takes polynomial entries."""
     n = len(rows)
     if n == 1:
         return rows[0][0]
@@ -80,6 +81,14 @@ def test_det_multilinear_and_alternating():
 def test_det_requires_square():
     with pytest.raises(ValueError):
         det(Matrix([[1, 2, 3], [4, 5, 6]]))
+
+
+def test_det_rejects_polynomial_entries():
+    # only Fractions and EpsRationals have a pivot to divide by
+    ring = Ring(2)
+    x1 = parse_polynomial(ring, "x1")
+    with pytest.raises(TypeError):
+        det(Matrix([[x1, Fraction(1)], [Fraction(2), x1]]))
 
 
 def test_rank_zero_matrix():
