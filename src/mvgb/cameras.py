@@ -22,8 +22,7 @@ __all__ = [
     "multiview_ideal", "fundamental_matrix",
     "epipolar_form", "toric_cameras", "collinear_cameras",
     "extend_to_invertible", "diagonal_embedding_ideal",
-    "multiview_ideal_via_elimination", "in_linearly_general_position",
-    "projectively_equal", "proportional",
+    "multiview_ideal_via_elimination", "projectively_equal", "proportional",
 ]
 
 
@@ -298,7 +297,7 @@ def epipolar_form(config, i, j):
     return sigma_minor(config, (i, j), tuple(range(6)))
 
 
-def toric_cameras(n=4):
+def toric_cameras(n):
     """The torus-fixed configuration with focal points at the coordinate
     points; prefixes give the smaller cases."""
     if not 2 <= n <= 4:
@@ -329,21 +328,6 @@ def collinear_cameras(n, eps_value=None):
             corner = eps_value ** (n - i)
         mats.append([[1, 1, 0, 0], [1, 0, 1, 0], [corner, 0, 0, 1]])
     return CameraConfig(mats)
-
-
-def in_linearly_general_position(config):
-    """No four focal points coplanar and no three collinear (rank checks)."""
-    coords = [fp.coords for fp in focal_points(config)]
-    for pair in itertools.combinations(coords, 2):
-        if rank(Matrix(list(pair))) < 2:
-            return False
-    for trip in itertools.combinations(coords, 3):
-        if rank(Matrix(list(trip))) < 3:
-            return False
-    for quad in itertools.combinations(coords, 4):
-        if rank(Matrix(list(quad))) < 4:
-            return False
-    return True
 
 
 def diagonal_embedding_ideal(config):

@@ -179,7 +179,7 @@ def criterion_6_toric_three_cameras(n_max=None):
     details["initial_ideals"] = len(nodes)
     if len(nodes) != 20:
         ok = False
-    classes = toric.symmetry_classes([n.initial for n in nodes])
+    classes = mono.symmetry_orbits([n.initial for n in nodes])
     details["classes"] = len(classes)
     if len(classes) != 3:
         ok = False
@@ -233,7 +233,7 @@ def criterion_7_toric_four_cameras(n_max=None):
         ok = False
         details["squarefree"] = False
     ideals = [n.initial for n in nodes]
-    classes = toric.symmetry_classes(ideals)
+    classes = mono.symmetry_orbits(ideals)
     details["classes"] = len(classes)
     if len(classes) != 48:
         ok = False

@@ -266,7 +266,8 @@ def cmd_decompose(args):
                "multidegree": {",".join(map(str, k)): v for k, v in support}}
     if args.complex:
         with open(args.complex, "w") as fh:
-            json.dump(fc.as_json(), fh, indent=2, sort_keys=True)
+            json.dump(dict(fc.as_json(), schema_version=SCHEMA_VERSION), fh,
+                      indent=2, sort_keys=True)
         payload["complex"] = args.complex
     _emit(payload)
     return 0
@@ -314,7 +315,7 @@ def cmd_toric(args):
         I, kernel_rows=toric.variable_kernel_rows(cm))
     payload = {"schema_version": SCHEMA_VERSION,
                "initial_ideals": len(nodes)}
-    classes = toric.symmetry_classes([n.initial for n in nodes])
+    classes = mono.symmetry_orbits([n.initial for n in nodes])
     payload["classes"] = len(classes)
     if args.classes or args.dual_graphs:
         payload["class_table"] = toric.class_invariant_table(classes)

@@ -5,6 +5,7 @@ certificate checks tying the three together."""
 from __future__ import annotations
 
 import itertools
+from functools import partial
 
 from .cameras import (
     collinear_cameras, multiview_generators, proportional, sigma_minor,
@@ -13,8 +14,11 @@ from .exactalg import EpsRational, eps
 from .groebner import (
     ideal, ideal_equal, initial_ideal, normal_forms, reduced_groebner_basis,
 )
-from .monomial import collinear_initial_ideal, multiview_hilbert_mismatch
-from .polyring import Polynomial, Ring, m_from_pairs, parse_polynomial
+from .monomial import (
+    collinear_initial_ideal, has_multiview_hilbert_function,
+    multiview_hilbert_mismatch,
+)
+from .polyring import Polynomial, Ring, m_from_pairs
 
 __all__ = [
     "collinear_family_generators", "collinear_fiber_ideal", "special_fiber",
@@ -25,8 +29,8 @@ __all__ = [
 
 def _pair_minors(ring, a, b, cameras):
     """The binomials a_i b_j - a_j b_i over pairs i < j of the cameras."""
-    return [parse_polynomial(ring, "%s%d*%s%d - %s%d*%s%d"
-                             % (a, i, b, j, a, j, b, i))
+    var = partial(Polynomial.variable, ring)
+    return [var(a, i) * var(b, j) - var(a, j) * var(b, i)
             for i, j in itertools.combinations(cameras, 2)]
 
 
@@ -63,11 +67,12 @@ def collinear_fiber_ideal(n):
     if n < 2:
         raise ValueError("need n >= 2")
     ring = Ring(n)
+    var = partial(Polynomial.variable, ring)
     gens = _pair_minors(ring, "x", "y", range(1, n + 1))
     for i, j, k in itertools.combinations(range(1, n + 1), 3):
         for a, b in (("x", "x"), ("y", "y"), ("y", "x")):
-            gens.append(parse_polynomial(ring, "%s%d*z%d*%s%d - z%d*%s%d*%s%d"
-                                         % (a, i, j, b, k, i, a, j, b, k)))
+            gens.append((var(a, i) * var("z", j) - var("z", i) * var(a, j))
+                        * var(b, k))
     return ideal(ring, gens)
 
 
@@ -99,12 +104,8 @@ def special_fiber(gens):
     if not gens:
         raise ValueError("empty generating set")
     fibers = [_fiber_of(p) for p in gens]
-    ring = fibers[0].ring
-    candidate = ideal(ring, fibers)
-    init = initial_ideal(candidate)
-    certified = (init.is_squarefree()
-                 and multiview_hilbert_mismatch(init) is None)
-    return candidate, certified
+    candidate = ideal(fibers[0].ring, fibers)
+    return candidate, has_multiview_hilbert_function(initial_ideal(candidate))
 
 
 def decomposition_factor_ideal(n, t):
@@ -113,10 +114,8 @@ def decomposition_factor_ideal(n, t):
     if not 3 <= t <= n + 1:
         raise ValueError("t must be between 3 and n+1")
     ring = Ring(n)
-    gens = []
-    for i in range(t, n + 1):
-        gens.append(parse_polynomial(ring, "x%d" % i))
-        gens.append(parse_polynomial(ring, "y%d" % i))
+    gens = [Polynomial.variable(ring, L, i)
+            for i in range(t, n + 1) for L in ("x", "y")]
     gens += _pair_minors(ring, "x", "y", range(1, t))
     gens += _pair_minors(ring, "x", "z", range(1, t - 1))
     gens += _pair_minors(ring, "y", "z", range(1, t - 1))

@@ -221,10 +221,6 @@ class EpsRational:
                                    (other.denominator,))
         return None
 
-    @property
-    def is_zero(self):
-        return not self.num
-
     def __bool__(self):
         return bool(self.num)
 
@@ -371,10 +367,6 @@ class Matrix:
         self.nrows = len(rows)
         self.ncols = w
         self.rows = rows
-
-    @classmethod
-    def identity(cls, n):
-        return cls([[int(i == j) for j in range(n)] for i in range(n)])
 
     def transpose(self):
         return Matrix([[self.rows[i][j] for i in range(self.nrows)]

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import random
 from fractions import Fraction
 from math import gcd
 
@@ -19,8 +18,7 @@ from .monomial import (
     standard_monomial_count, standard_profiles,
 )
 from .polyring import (
-    LexOrder, Polynomial, WeightOrder, block_order, elimination_order, m_var,
-    plain_ring,
+    LexOrder, Polynomial, block_order, elimination_order, m_var, plain_ring,
 )
 
 __all__ = [
@@ -28,7 +26,7 @@ __all__ = [
     "normal_forms", "initial_ideal", "ideal_equal", "eliminate", "intersect",
     "hilbert_value", "minimal_generators", "is_groebner_basis",
     "universal_groebner_check", "letter_rankings", "permuted_block_lex_orders",
-    "random_weight_orders", "cone_certificates", "universal_basis_certificate",
+    "cone_certificates", "universal_basis_certificate",
 ]
 
 
@@ -384,15 +382,15 @@ def ideal(ring, generators):
     return IdealPresentation(ring, list(generators))
 
 
-def _as_ideal(I, ring=None):
+def _as_ideal(I):
     if isinstance(I, IdealPresentation):
         return I
     if isinstance(I, MonomialIdeal):
         return IdealPresentation(I.ring, I.polynomials())
     gens = list(I)
-    if not gens and ring is None:
+    if not gens:
         raise ValueError("empty generator list needs an explicit ring")
-    return IdealPresentation(ring or gens[0].ring, gens)
+    return IdealPresentation(gens[0].ring, gens)
 
 
 def reduced_groebner_basis(I, order=None):
@@ -572,12 +570,6 @@ def permuted_block_lex_orders(ring):
     n = plain_ring(ring, "order family").n
     return [LexOrder(ring, _variable_images(n, range(n), ranking))
             for ranking in letter_rankings(n)]
-
-
-def random_weight_orders(ring, count, seed=0):
-    rng, n = random.Random(seed), ring.nvars
-    return [WeightOrder(ring, [rng.randint(1, 10 ** 6) for _ in range(n)])
-            for _ in range(count)]
 
 
 def _hilbert_certifier(gens, polys, order):

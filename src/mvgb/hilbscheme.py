@@ -9,17 +9,11 @@ import itertools
 from dataclasses import dataclass
 from math import comb, prod
 
-from .monomial import (
-    MonomialIdeal, _orbits, _sort_key, multiview_hilbert_mismatch,
-    multiview_profiles,
-)
+from .monomial import MonomialIdeal, _orbits, _sort_key, multiview_profiles
 from .polyring import Ring, format_monomial
 from .tangent import tangent_dimension
 
-__all__ = [
-    "monomial_ideal_census", "census", "CensusResult",
-    "has_multiview_hilbert_function", "census_hash",
-]
+__all__ = ["monomial_ideal_census", "census", "CensusResult", "census_hash"]
 
 
 def _census_psi(ring):
@@ -188,22 +182,12 @@ def monomial_ideal_census(n, classes=None):
     return ideals
 
 
-def has_multiview_hilbert_function(I):
-    """Membership test: squarefree generators and closed-form standard
-    counts at every multidegree in the box (which then determine all)."""
-    return I.is_squarefree() and multiview_hilbert_mismatch(I) is None
-
-
 @dataclass
 class CensusResult:
     n: int
     ideals: list
     orbits: list
     tangent: dict
-
-    @property
-    def counts(self):
-        return {"ideals": len(self.ideals), "classes": len(self.orbits)}
 
 
 def census(n, tangent=False):

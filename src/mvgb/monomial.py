@@ -20,7 +20,8 @@ __all__ = [
     "MonomialIdeal", "generic_initial_ideal", "collinear_initial_ideal",
     "multiview_hilbert_function", "standard_monomials",
     "standard_monomial_count", "standard_count_box",
-    "multiview_hilbert_mismatch", "multiview_profiles", "standard_profiles",
+    "multiview_hilbert_mismatch", "has_multiview_hilbert_function",
+    "multiview_profiles", "standard_profiles",
     "minimal_primes", "multidegree_support", "is_borel_fixed", "FacetComplex",
     "stanley_reisner_complex", "is_shelling", "generic_shelling_order",
     "relabel", "symmetry_orbits", "ideal_key",
@@ -235,8 +236,10 @@ def standard_profiles(I):
     """Counts of the standard support patterns of a squarefree ideal (one
     variable subset per camera, containing no generator's support), keyed
     by the tuple of subset sizes per camera."""
-    blocks = I.ring.blocks()
-    n = I.ring.n
+    ring = plain_ring(I.ring, "standard profiles")
+    if not I.is_squarefree():
+        raise ValueError("standard profiles count squarefree ideals only")
+    blocks, n = ring.blocks(), ring.n
     per_block = [[(sum(1 << v for v in sub), k) for k in range(len(b) + 1)
                   for sub in itertools.combinations(b, k)] for b in blocks]
     # A generator can first divide a pattern once its last camera is chosen.
@@ -339,11 +342,15 @@ def multiview_hilbert_mismatch(I):
     first profile whose count differs is the first such multidegree.
     """
     n = plain_ring(I.ring, "Hilbert function tests").n
-    if not I.is_squarefree():
-        raise ValueError("the box decides only for squarefree generators")
     got, want = standard_profiles(I), multiview_profiles(n)
     return next((k for k in itertools.product(range(4), repeat=n)
                  if got[k] != want.get(k, 0)), None)
+
+
+def has_multiview_hilbert_function(I):
+    """Membership test: squarefree generators and closed-form standard
+    counts at every multidegree in the box (which then determine all)."""
+    return I.is_squarefree() and multiview_hilbert_mismatch(I) is None
 
 
 # ---------------------------------------------------------------------------

@@ -293,10 +293,6 @@ class Polynomial:
         self._hash = None
 
     @classmethod
-    def zero(cls, ring):
-        return cls(ring)
-
-    @classmethod
     def constant(cls, ring, c):
         return cls(ring, {m_one: c})
 
@@ -307,10 +303,6 @@ class Polynomial:
     @classmethod
     def variable(cls, ring, letter, camera):
         return cls(ring, {m_var(ring.var(letter, camera)): 1})
-
-    @property
-    def is_zero(self):
-        return not self.terms
 
     def __bool__(self):
         return bool(self.terms)
@@ -413,9 +405,6 @@ class Polynomial:
             raise ValueError("zero polynomial has no leading term")
         m = max(self.terms, key=order.key)
         return self.terms[m], m
-
-    def map_coefficients(self, fn):
-        return Polynomial(self.ring, {m: fn(c) for m, c in self.terms.items()})
 
     def in_ring(self, ring):
         """Reinterpret in a ring with the same block variables and every aux
@@ -524,7 +513,8 @@ def canonical_string(p):
         return "0"
     lc, _ = p.leading_term(block_order(p.ring))
     if p.domain() == "Q(e)":
-        return format_polynomial(p.map_coefficients(lambda c: c / lc))
+        return format_polynomial(
+            Polynomial(p.ring, {m: c / lc for m, c in p.terms.items()}))
     ints = primitive_row(integer_row(p.terms.values())[0])
     if lc < 0:
         ints = [-c for c in ints]

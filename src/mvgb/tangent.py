@@ -38,8 +38,8 @@ def _weight_blocks(I):
 
 
 def _free_components(I):
-    """The free components of the weight graph of every exponent shift d, as
-    (d, frozenset of generators) pairs.
+    """Yield the free components of the weight graph of every exponent shift
+    d, as (d, frozenset of generators) pairs.
 
     A degree-zero map of weight d sends each generator g to c_g * g*x^d, with
     c_g = 0 unless g*x^d is standard; the vertices of the graph of d are the
@@ -65,7 +65,7 @@ def _free_components(I):
     recurs across shifts.
     """
     if m_one in I.gens:   # S/I = 0 has no maps, 1 no lowest variable
-        return []
+        return
     width = (2 * max(map(m_deg, I.gens), default=0) + 1).bit_length() + 1
     low = sum(1 << v * width for v in range(I.ring.nvars))
     guard = low << width - 1
@@ -94,7 +94,6 @@ def _free_components(I):
         L = pack(m_lcm(g, h))
         through[g].append((h, L))
         through[h].append((g, L))
-    out = []
     for d, members in _weight_blocks(I):
         shift = pack(d)
         parent = {g: g for g in members}
@@ -111,17 +110,16 @@ def _free_components(I):
         comps = {}
         for g in members:
             comps.setdefault(find(g), []).append(g)
-        out.extend((d, frozenset(c)) for c in comps.values()
-                   if all(h in parent or in_ideal(L + shift)
-                          for g in c for h, L in through[g]))
-    return out
+        yield from ((d, frozenset(c)) for c in comps.values()
+                    if all(h in parent or in_ideal(L + shift)
+                           for g in c for h, L in through[g]))
 
 
 def tangent_dimension(I):
     """Dimension of the space of degree-zero module maps I -> S/I: the
     number of free weight-graph components under the pairwise lcm syzygies.
     """
-    return len(_free_components(I))
+    return sum(1 for _ in _free_components(I))
 
 
 # ---------------------------------------------------------------------------

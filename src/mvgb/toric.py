@@ -28,8 +28,7 @@ from .polyring import (
 __all__ = [
     "CayleyMatrix", "cayley_matrix", "lattice_kernel_basis",
     "variable_kernel_rows", "toric_ideal", "GFanNode",
-    "enumerate_initial_ideals", "symmetry_classes", "mixed_subdivision",
-    "class_invariant_table",
+    "enumerate_initial_ideals", "mixed_subdivision", "class_invariant_table",
 ]
 
 
@@ -234,8 +233,8 @@ def enumerate_initial_ideals(I, kernel_rows=None):
 
 
 def symmetry_classes(ideals):
-    """Orbits of squarefree ideals under per-camera letter permutations and
-    camera relabeling."""
+    """monomial.symmetry_orbits under its old name, kept only because the
+    benchmark harness (perfbench/workloads.py) still calls it."""
     return symmetry_orbits(ideals)
 
 

@@ -168,6 +168,7 @@ def test_decompose_and_complex(tmp_path, capsys):
     assert len(payload["primes"]) == 7
     assert payload["borel_fixed"] is True
     fc = json.loads(open(complex_path).read())
+    assert fc["schema_version"] == 1
     assert len(fc["facets"]) == 7
     assert sorted(fc["labels"]).count("prism") == 6
 

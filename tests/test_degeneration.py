@@ -30,7 +30,7 @@ def test_cubic_coefficients_sum_to_zero():
         total = EpsRational(0)
         for c in g.terms.values():
             total = total + c
-        assert total.is_zero
+        assert not total
 
 
 def test_fiber_ideal_generators():

@@ -35,13 +35,17 @@ def cofactor_det(rows):
     return total
 
 
+def identity(n):
+    return Matrix([[int(i == j) for j in range(n)] for i in range(n)])
+
+
 def random_matrix(rng, n, m, lo=-9, hi=9):
     return Matrix([[Fraction(rng.randint(lo, hi)) for _ in range(m)]
                    for _ in range(n)])
 
 
 def test_det_identity():
-    assert det(Matrix.identity(2)) == 1
+    assert det(identity(2)) == 1
 
 
 def test_det_repeated_rows():
@@ -118,7 +122,7 @@ def test_inverse():
         m = random_matrix(rng, 4, 4)
         if det(m) != 0:
             break
-    assert m * inverse(m) == Matrix.identity(4)
+    assert m * inverse(m) == identity(4)
 
 
 def _as_fractions(rows):
@@ -138,7 +142,7 @@ def test_int_entries_are_exact():
     inv = inverse(Matrix(square))
     assert inv == inverse(_as_fractions(square))
     assert all(type(e) is Fraction for r in inv.rows for e in r)
-    assert Matrix(square) * inv == Matrix.identity(3)
+    assert Matrix(square) * inv == identity(3)
 
 
 def test_det_sign_of_an_odd_number_of_row_swaps():
@@ -207,7 +211,7 @@ def test_eps_interop_with_fraction():
     a = eps(1) + Fraction(1, 2)
     assert a == EpsRational((1, 2), 2)
     assert Fraction(1, 2) * eps(2) == EpsRational((0, 0, 1), 2)
-    assert (a - a).is_zero
+    assert not a - a
     assert 1 - eps(1) == EpsRational((1, -1))
 
 
@@ -219,7 +223,7 @@ def test_eps_matrix_kernel():
     v = ker[0]
     for row in m.rows:
         s = row[0] * v[0] + row[1] * v[1]
-        assert s == 0 or s.is_zero
+        assert not s
 
 
 def test_repeated_camera_rows_vanish():

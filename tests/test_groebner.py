@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from mvgb import checks, groebner
 from mvgb.cameras import (
-    CameraConfig, is_generic, minimal_multiview_generators,
+    CameraConfig, focal_points, is_generic, minimal_multiview_generators,
     multiview_generators, multiview_ideal,
 )
 from mvgb.groebner import (
@@ -17,12 +17,11 @@ from mvgb.groebner import (
     cone_certificates, eliminate,
     hilbert_value, ideal, ideal_equal, initial_ideal, intersect,
     is_groebner_basis, letter_rankings, minimal_generators, normal_form,
-    normal_forms, permuted_block_lex_orders, random_weight_orders,
-    reduced_groebner_basis,
+    normal_forms, permuted_block_lex_orders, reduced_groebner_basis,
     universal_basis_certificate, universal_groebner_check,
 )
 from mvgb.degeneration import collinear_family_generators
-from mvgb.exactalg import EpsRational
+from mvgb.exactalg import EpsRational, Matrix, rank
 from mvgb.monomial import MonomialIdeal, generic_initial_ideal
 from mvgb.polyring import (
     GrevlexOrder, LexOrder, MatrixOrder, Polynomial, Ring, WeightOrder,
@@ -41,6 +40,12 @@ def random_config(rng, n):
             continue
         if is_generic(c)[0]:
             return c
+
+
+def random_weight_orders(ring, count, seed=0):
+    rng, n = random.Random(seed), ring.nvars
+    return [WeightOrder(ring, [rng.randint(1, 10 ** 6) for _ in range(n)])
+            for _ in range(count)]
 
 
 R3 = Ring(3)
@@ -73,10 +78,10 @@ def test_normal_form_properties():
     I = multiview_ideal(c)
     gb = reduced_groebner_basis(I)
     member = I.generators[0] * P(R3, "x2 + 3*z3") + I.generators[5]
-    assert normal_form(member, gb).is_zero
+    assert not normal_form(member, gb)
     assert normal_form(P(R3, "1"), gb) == P(R3, "1")
     for g in multiview_generators(c)[:10]:
-        assert normal_form(g, gb).is_zero
+        assert not normal_form(g, gb)
 
 
 def test_initial_ideal_of_monomial_ideal_is_itself():
@@ -368,7 +373,7 @@ def test_witness_pair_indexes_the_callers_list():
     ring = c.ring()
     order = permuted_block_lex_orders(ring)[9]
     small = minimal_multiview_generators(c)
-    zero = Polynomial.zero(ring)
+    zero = Polynomial(ring)
     assert is_groebner_basis(small, order) == (False, (2, 1))
     for gset, pair in (([zero] + small, (3, 2)),
                        (small[:2] + [zero] + small[2:], (3, 1)),
@@ -387,7 +392,7 @@ def test_universal_check_of_no_generators_or_no_orders():
     assert universal_groebner_check([], [block_order(ring)]) == (True, None)
     assert universal_groebner_check([], []) == (True, None)
     assert universal_groebner_check(small, []) == (True, None)
-    assert universal_groebner_check([Polynomial.zero(ring)],
+    assert universal_groebner_check([Polynomial(ring)],
                                     [block_order(ring)]) == (True, None)
 
 
@@ -514,7 +519,7 @@ def test_universal_check_matches_per_order_checks_on_subsets(data):
     gens = [MINORS_201[i] for i in sorted(picked)]
     if data.draw(st.booleans()):
         gens.insert(data.draw(st.integers(0, len(gens))),
-                    Polynomial.zero(R3))
+                    Polynomial(R3))
     orders = data.draw(st.lists(universal_orders, min_size=1, max_size=4))
     assert universal_groebner_check(gens, orders) == _per_order_check(
         gens, orders)
@@ -537,8 +542,9 @@ def test_minimal_generation_three_cameras():
 def test_minimal_generation_four_cameras():
     rng = random.Random(11)
     c = random_config(rng, 4)
-    from mvgb.cameras import in_linearly_general_position
-    assert in_linearly_general_position(c)
+    # four focal points of rank 4: no two equal, no three collinear, not
+    # coplanar
+    assert rank(Matrix([fp.coords for fp in focal_points(c)])) == 4
     small = minimal_multiview_generators(c)
     assert len(small) == 6 + 4
     I = multiview_ideal(c)
@@ -679,7 +685,7 @@ def _basis_transcript(seed, n):
     for order in orders:
         gb = reduced_groebner_basis(ideal(ring, gens), order)
         for g in gens:
-            assert field_normal_form(g, gb, order).is_zero
+            assert not field_normal_form(g, gb, order)
         lines += [format_polynomial(g) for g in gb]
         lines.append(repr(is_groebner_basis(gens, order)))
         lines.append(repr(is_groebner_basis(small, order)))
@@ -773,7 +779,7 @@ def test_exponents_past_the_default_fields_widen_them():
         "%s - z1^%d" % (a, 2 ** (6 - k))
         for k, a in reversed(list(enumerate(names[:-1])))]
     for g in gens:
-        assert field_normal_form(g, gb, order).is_zero
+        assert not field_normal_form(g, gb, order)
     assert normal_form(P(R3, "x1^2 + x2"), gb) == P(R3, "z1^128 + z1^32")
     assert is_groebner_basis(gb, order) == (True, None)
 

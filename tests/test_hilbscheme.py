@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 from mvgb import hilbscheme, monomial
 from mvgb.hilbscheme import (
     _census_psi, _groups, _pattern_orbits, _search, census, census_hash,
-    has_multiview_hilbert_function, monomial_ideal_census,
+    monomial_ideal_census,
 )
 from mvgb.monomial import (
     MonomialIdeal, canonical_form, collinear_initial_ideal,
-    generic_initial_ideal, ideal_key, ideal_lines, is_borel_fixed,
-    symmetry_orbits,
+    generic_initial_ideal, has_multiview_hilbert_function, ideal_key,
+    ideal_lines, is_borel_fixed, symmetry_orbits,
 )
 from mvgb.polyring import Ring, parse_monomial
 from mvgb.toric import (
@@ -56,14 +56,14 @@ def test_membership_examples():
 
 def test_two_camera_census_tangent_dimensions():
     res = census(2, tangent=True)
-    assert res.counts == {"ideals": 9, "classes": 1}
+    assert (len(res.ideals), len(res.orbits)) == (9, 1)
     assert set(res.tangent.values()) == {8}
 
 
 @pytest.mark.slow
 def test_three_camera_census(census3):
     res = census3
-    assert res.counts == {"ideals": 13824, "classes": 16}
+    assert (len(res.ideals), len(res.orbits)) == (13824, 16)
     assert sum(len(m) for _, m in res.orbits) == 13824
     assert census_hash(res.ideals) == CENSUS3_SHA256
     keys = {ideal_key(I) for I in res.ideals}

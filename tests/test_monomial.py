@@ -153,6 +153,16 @@ def test_box_of_pure_powers_on_every_variable():
         multiview_hilbert_mismatch(I)
 
 
+def test_standard_profiles_refuse_non_squarefree_ideals():
+    # a pattern table reads x1^2 as its support x1, and so counts 2
+    # standard monomials at (1, 0), where x1, y1 and z1 all are
+    r2 = Ring(2)
+    I = MonomialIdeal(r2, [mono(r2, "x1^2")])
+    assert standard_monomial_count(I, (1, 0)) == 3
+    with pytest.raises(ValueError, match="squarefree"):
+        standard_profiles(I)
+
+
 def test_box_table_matches_closed_form():
     for n in (2, 3, 4):
         M = generic_initial_ideal(n)
@@ -369,11 +379,13 @@ _AUX_IDEAL = MonomialIdeal(_AUX, [parse_monomial(_AUX, "x1*x2")])
     lambda: standard_monomial_count(_AUX_IDEAL, (1, 1)),
     lambda: standard_monomials(_AUX_IDEAL, (1, 1)),
     lambda: standard_count_box(_AUX_IDEAL),
+    lambda: standard_profiles(_AUX_IDEAL),
     lambda: hilbert_value(_AUX_IDEAL, (1, 1)),
 ], ids=["canonical_form", "canonical_form_empty", "symmetry_orbits",
         "symmetry_classes", "is_borel_fixed", "permuted_block_lex_orders",
         "multiview_hilbert_mismatch", "standard_monomial_count",
-        "standard_monomials", "standard_count_box", "hilbert_value"])
+        "standard_monomials", "standard_count_box", "standard_profiles",
+        "hilbert_value"])
 def test_symmetry_entry_points_reject_aux_rings(call):
     with pytest.raises(ValueError, match=r"plain 3-letter ring Ring\(2\)"):
         call()

@@ -209,7 +209,7 @@ def test_ring_arithmetic_axioms():
     assert (p * q) * r == p * (q * r)
     assert p * (q + r) == p * q + p * r
     assert p * q == q * p
-    assert p - p == Polynomial.zero(R3)
+    assert p - p == Polynomial(R3)
 
 
 def test_homogeneous_product_multidegree():
@@ -228,7 +228,7 @@ def test_leading_term_examples():
     q = parse_polynomial(R3, "z1*y2 - y1*z2")
     assert q.leading_term(o) == (Fraction(-1), mono(R3, "y1*z2"))
     with pytest.raises(ValueError):
-        Polynomial.zero(R3).leading_term(o)
+        Polynomial(R3).leading_term(o)
 
 
 def test_w_is_not_a_letter():

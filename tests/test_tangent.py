@@ -92,7 +92,7 @@ def assert_matches_eager(I):
     """The (shift, component) set equals the eager reference's, over the
     pairs and over the pairs with the triples: the pairwise syzygies
     generate the triple ones."""
-    got = _free_components(I)
+    got = list(_free_components(I))
     assert len(got) == len(set(got))
     for subsets in (itertools.combinations(I.gens, 2), pairs_and_triples(I)):
         assert set(got) == set(eager_free_components(I, subsets))
