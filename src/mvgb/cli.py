@@ -38,8 +38,21 @@ class InputError(Exception):
     pass
 
 
+def _json(payload):
+    """The JSON text of a report or a side file, stamped with the schema
+    version: the one writer of every command's output."""
+    return json.dumps(dict(payload, schema_version=SCHEMA_VERSION), indent=2,
+                      sort_keys=True, default=str)
+
+
+def _write(path, payload):
+    """A side file, which ends without a newline."""
+    with open(path, "w") as fh:
+        fh.write(_json(payload))
+
+
 def _emit(payload, out=None):
-    text = json.dumps(payload, indent=2, sort_keys=True, default=str)
+    text = _json(payload)
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
@@ -156,7 +169,7 @@ def cmd_ideal_from_cameras(args):
     if args.out:
         with open(args.out, "w") as fh:
             fh.write("\n".join(lines) + "\n")
-    _emit({"schema_version": SCHEMA_VERSION, "n": config.n,
+    _emit({"n": config.n,
            "generators": len(lines),
            "out": args.out or None,
            "polynomials": lines if not args.out else None})
@@ -182,8 +195,7 @@ def cmd_gb(args):
     I = load_ideal(args.file, args.n)
     order = _order_for(I, args.order)
     basis = gb.reduced_groebner_basis(I, order)
-    _emit({"schema_version": SCHEMA_VERSION,
-           "basis": [format_polynomial(p, order) for p in basis],
+    _emit({"basis": [format_polynomial(p, order) for p in basis],
            "initial_ideal": [format_monomial(I.ring, m) for m in
                              gb.initial_ideal(I, order).gens]},
           args.out)
@@ -199,8 +211,7 @@ def cmd_nf(args):
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(str(exc)) from None
     r = gb.normal_form(p, basis, order)
-    _emit({"schema_version": SCHEMA_VERSION,
-           "normal_form": format_polynomial(r)})
+    _emit({"normal_form": format_polynomial(r)})
     return 0
 
 
@@ -211,8 +222,7 @@ def cmd_elim(args):
     except KeyError as exc:
         raise InputError("unknown variable %s" % exc) from None
     result = gb.eliminate(I, keep)
-    _emit({"schema_version": SCHEMA_VERSION,
-           "generators": [format_polynomial(p) for p in result.generators]},
+    _emit({"generators": [format_polynomial(p) for p in result.generators]},
           args.out)
     return 0
 
@@ -232,8 +242,7 @@ def cmd_hilb(args):
         if min(u) < 0 or max(u) > MAX_HILB:
             raise InputError("multidegree entries must lie in 0..%d"
                              % MAX_HILB)
-        _emit({"schema_version": SCHEMA_VERSION, "u": list(u),
-               "value": gb.hilbert_value(I, u)})
+        _emit({"u": list(u), "value": gb.hilbert_value(I, u)})
         return 0
     try:
         bound = int(args.box)
@@ -244,9 +253,8 @@ def cmd_hilb(args):
     if (bound + 1) ** n > MAX_HILB:
         raise InputError("--box table would exceed %d values" % MAX_HILB)
     table = mono.standard_count_box(gb.initial_ideal(I), bound)
-    _emit({"schema_version": SCHEMA_VERSION, "box": bound,
-           "values": {",".join(map(str, u)): v
-                      for u, v in sorted(table.items())}})
+    _emit({"box": bound, "values": {",".join(map(str, u)): v
+                                    for u, v in sorted(table.items())}})
     return 0
 
 
@@ -260,14 +268,11 @@ def cmd_decompose(args):
     except ValueError as exc:
         # not squarefree, or a w block
         raise InputError(str(exc)) from None
-    payload = {"schema_version": SCHEMA_VERSION,
-               "primes": [sorted(I.ring.name(v) for v in p) for p in primes],
+    payload = {"primes": [sorted(I.ring.name(v) for v in p) for p in primes],
                "borel_fixed": borel,
                "multidegree": {",".join(map(str, k)): v for k, v in support}}
     if args.complex:
-        with open(args.complex, "w") as fh:
-            json.dump(dict(fc.as_json(), schema_version=SCHEMA_VERSION), fh,
-                      indent=2, sort_keys=True)
+        _write(args.complex, fc.as_json())
         payload["complex"] = args.complex
     _emit(payload)
     return 0
@@ -280,8 +285,7 @@ def cmd_tangent(args):
            {I.ring.multidegree(g) for g in I.gens}) > MAX_HILB:
         raise InputError("the generator multidegrees hold more than %d "
                          "monomials" % MAX_HILB)
-    _emit({"schema_version": SCHEMA_VERSION,
-           "tangent_dimension": tan.tangent_dimension(I)})
+    _emit({"tangent_dimension": tan.tangent_dimension(I)})
     return 0
 
 
@@ -291,7 +295,6 @@ def cmd_degeneration(args):
             report = deg.verify_collinear_degeneration(args.n)
         except ValueError as exc:
             raise InputError(str(exc)) from None
-        report["schema_version"] = SCHEMA_VERSION
         _emit(report, args.out)
         return 0 if report["pass"] else 1
     # exploratory: the lex initial ideal of a specialization
@@ -302,9 +305,8 @@ def cmd_degeneration(args):
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError("bad --n or --eps: %s" % exc) from None
         init = gb.initial_ideal(multiview_ideal(cfg))
-    _emit({"schema_version": SCHEMA_VERSION, "eps": args.eps,
-           "initial_ideal": [format_monomial(init.ring, m)
-                             for m in init.gens]})
+    _emit({"eps": args.eps, "initial_ideal": [
+        format_monomial(init.ring, m) for m in init.gens]})
     return 0
 
 
@@ -313,10 +315,8 @@ def cmd_toric(args):
     I = toric.toric_ideal(cm)
     nodes = toric.enumerate_initial_ideals(
         I, kernel_rows=toric.variable_kernel_rows(cm))
-    payload = {"schema_version": SCHEMA_VERSION,
-               "initial_ideals": len(nodes)}
     classes = mono.symmetry_orbits([n.initial for n in nodes])
-    payload["classes"] = len(classes)
+    payload = {"initial_ideals": len(nodes), "classes": len(classes)}
     if args.classes or args.dual_graphs:
         payload["class_table"] = toric.class_invariant_table(classes)
         payload["representatives"] = [
@@ -330,9 +330,7 @@ def cmd_toric(args):
                            [format_monomial(rep.ring, g) for g in rep.gens],
                            "size": len(members),
                            "complex": fc.as_json(), "dual_graph": graph})
-        with open(args.dual_graphs, "w") as fh:
-            json.dump({"schema_version": SCHEMA_VERSION, "graphs": graphs},
-                      fh, indent=2, sort_keys=True, default=str)
+        _write(args.dual_graphs, {"graphs": graphs})
         payload["dual_graphs"] = args.dual_graphs
     _emit(payload, args.out)
     return 0
@@ -346,18 +344,13 @@ def cmd_census(args):
             fh.write(", ".join(mono.ideal_lines(I)) + "\n")
     classes = [{"representative": mono.ideal_lines(rep), "size": len(members)}
                for rep, members in res.orbits]
-    with open(os.path.join(args.out, "classes.json"), "w") as fh:
-        json.dump({"schema_version": SCHEMA_VERSION, "classes": classes},
-                  fh, indent=2, sort_keys=True)
+    _write(os.path.join(args.out, "classes.json"), {"classes": classes})
     if args.tangent:
-        with open(os.path.join(args.out, "tangent.json"), "w") as fh:
-            json.dump({"schema_version": SCHEMA_VERSION,
-                       "tangent_dimensions": {str(k): v for k, v in
-                                              res.tangent.items()}},
-                      fh, indent=2, sort_keys=True)
-    _emit({"schema_version": SCHEMA_VERSION, "ideals": len(res.ideals),
-           "classes": len(res.orbits), "hash": hs.census_hash(res.ideals),
-           "out": args.out})
+        _write(os.path.join(args.out, "tangent.json"),
+               {"tangent_dimensions": {str(k): v
+                                       for k, v in res.tangent.items()}})
+    _emit({"ideals": len(res.ideals), "classes": len(res.orbits),
+           "hash": hs.census_hash(res.ideals), "out": args.out})
     return 0
 
 
@@ -369,10 +362,10 @@ def cmd_check(args):
         report = checks.run_all(only=only, n_max=args.n_max)
     except ValueError as exc:
         raise InputError(str(exc)) from None
-    for entry in report["criteria"]:
+    for entry in report["criteria"]:   # the timings go to stderr alone
         status = "PASS" if entry["pass"] else "FAIL"
         print("criterion %2d %s: %s (%.2f s)" % (
-            entry["id"], status, entry["name"], entry["seconds"]),
+            entry["id"], status, entry["name"], entry.pop("seconds")),
             file=sys.stderr)
     _emit(report, args.out)
     return 0 if report["pass"] else 1

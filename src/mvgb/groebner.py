@@ -382,15 +382,19 @@ def ideal(ring, generators):
     return IdealPresentation(ring, list(generators))
 
 
+def _ring_of(gens):
+    if not gens:
+        raise ValueError("empty generator list needs an explicit ring")
+    return gens[0].ring
+
+
 def _as_ideal(I):
     if isinstance(I, IdealPresentation):
         return I
     if isinstance(I, MonomialIdeal):
         return IdealPresentation(I.ring, I.polynomials())
     gens = list(I)
-    if not gens:
-        raise ValueError("empty generator list needs an explicit ring")
-    return IdealPresentation(gens[0].ring, gens)
+    return IdealPresentation(_ring_of(gens), gens)
 
 
 def reduced_groebner_basis(I, order=None):
@@ -668,15 +672,18 @@ def cone_certificates(gens, rankings):
     monomials by multiview_hilbert_function, and the ideal of gens has that
     Hilbert function, the two are equal (Traverso's Hilbert-driven argument).
 
-    Yields (flag, witness) per ranking: the witness names the index of a
-    generator without such a term, or the first multidegree that miscounts.
+    Yields (flag, witness) per ranking: the witness names the index into
+    gens of a generator without such a term, or the first multidegree that
+    miscounts.  Zero generators are skipped.
     """
-    ring = plain_ring(gens[0].ring, "cone certificates")
+    ring = plain_ring(_ring_of(gens), "cone certificates")
     shapes = {}   # (cameras, letters shown per camera) -> shape index
     table = []
-    for p in gens:
-        cams, shown, terms = _camera_terms(p)
-        table.append((shapes.setdefault((cams, shown), len(shapes)), terms))
+    for idx, p in enumerate(gens):
+        if p.terms:
+            cams, shown, terms = _camera_terms(p)
+            table.append((idx, shapes.setdefault((cams, shown), len(shapes)),
+                          terms))
     subsets = {sh for _, shown in shapes for sh in shown}
     for ranking in rankings:
         best = [{sh: next(s for s in r if s in sh) for sh in subsets}
@@ -684,7 +691,7 @@ def cone_certificates(gens, rankings):
         tops = [tuple(best[c][sh] for c, sh in zip(cams, shown))
                 for cams, shown in shapes]
         leads = []
-        for idx, (shape, terms) in enumerate(table):
+        for idx, shape, terms in table:
             m = terms.get(tops[shape])
             if m is None:
                 yield False, {"minor": idx}
@@ -707,7 +714,7 @@ def universal_basis_certificate(gens):
     generator or multidegree.
     """
     gens = list(gens)
-    ring = gens[0].ring
+    ring = _ring_of(gens)
     init = initial_ideal(ideal(ring, gens))
     bad = (multiview_hilbert_mismatch(init) if init.is_squarefree()
            else "not squarefree")

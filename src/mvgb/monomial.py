@@ -537,9 +537,15 @@ def relabel(I, camera_perm, letter_perms):
     relabeling of the cameras.
 
     camera_perm maps old 0-based camera c to camera_perm[c]; letter_perms[c]
-    maps old letter slot (0=x, 1=y, 2=z) to its new slot.
+    maps old letter slot (0=x, 1=y, 2=z) to its new slot.  Raises
+    ValueError unless both are permutations, one letter map per camera.
     """
-    images = _variable_images(I.ring.n, camera_perm, letter_perms)
+    n = I.ring.n
+    if (sorted(camera_perm) != list(range(n)) or len(letter_perms) != n
+            or any(sorted(p) != [0, 1, 2] for p in letter_perms)):
+        raise ValueError("relabel needs a permutation of the %d cameras and "
+                         "one permutation of (0, 1, 2) per camera" % n)
+    images = _variable_images(n, camera_perm, letter_perms)
     return MonomialIdeal(I.ring, [m_from_pairs([(images[v], e) for v, e in g])
                                   for g in I.gens])
 

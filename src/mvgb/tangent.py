@@ -23,20 +23,6 @@ def _exp_diff(m, g):
     return tuple(sorted((v, d) for v, d in acc.items() if d))
 
 
-def _weight_blocks(I):
-    """Each exponent shift d with the generators g for which g*x^d is
-    standard."""
-    blocks = {}
-    standard = {}
-    for g in I.gens:
-        u = I.ring.multidegree(g)
-        if u not in standard:
-            standard[u] = standard_monomials(I, u)
-        for m in standard[u]:
-            blocks.setdefault(_exp_diff(m, g), []).append(g)
-    return blocks.items()
-
-
 def _free_components(I):
     """Yield the free components of the weight graph of every exponent shift
     d, as (d, frozenset of generators) pairs.
@@ -63,15 +49,31 @@ def _free_components(I):
     their lowest variable and a product is tested against the buckets of
     its support alone.  Each product is tested once per call: the same one
     recurs across shifts.
+
+    The vertices of every graph come from one walk over the standard
+    monomials m of each generator multidegree, shared by the generators g of
+    that multidegree; the graphs are keyed by the packed shift m - g, whose
+    fields are signed, and d is decoded only for the components yielded.
     """
     if m_one in I.gens:   # S/I = 0 has no maps, 1 no lowest variable
         return
     width = (2 * max(map(m_deg, I.gens), default=0) + 1).bit_length() + 1
     low = sum(1 << v * width for v in range(I.ring.nvars))
     guard = low << width - 1
+    half, mask = 1 << width - 1, (1 << width) - 1
 
     def pack(pairs):
         return sum(e << v * width for v, e in pairs)
+
+    def unpack(shift):
+        """The (var, delta != 0) pairs of a packed shift, low field first."""
+        d = []
+        for v in range(I.ring.nvars):
+            e = ((shift + half) & mask) - half
+            if e:
+                d.append((v, e))
+            shift = (shift - e) >> width
+        return tuple(d)
 
     by_first = {}
     for g in I.gens:
@@ -94,8 +96,16 @@ def _free_components(I):
         L = pack(m_lcm(g, h))
         through[g].append((h, L))
         through[h].append((g, L))
-    for d, members in _weight_blocks(I):
-        shift = pack(d)
+    by_degree = {}
+    for g in I.gens:
+        by_degree.setdefault(I.ring.multidegree(g), []).append(g)
+    blocks = {}
+    for u, gens in by_degree.items():
+        packed = [(g, pack(g)) for g in gens]
+        for m in map(pack, standard_monomials(I, u)):
+            for g, q in packed:
+                blocks.setdefault(m - q, []).append(g)
+    for shift, members in blocks.items():
         parent = {g: g for g in members}
 
         def find(g):
@@ -110,9 +120,12 @@ def _free_components(I):
         comps = {}
         for g in members:
             comps.setdefault(find(g), []).append(g)
-        yield from ((d, frozenset(c)) for c in comps.values()
-                    if all(h in parent or in_ideal(L + shift)
-                           for g in c for h, L in through[g]))
+        free = [frozenset(c) for c in comps.values()
+                if all(h in parent or in_ideal(L + shift)
+                       for g in c for h, L in through[g])]
+        if free:
+            d = unpack(shift)
+            yield from ((d, c) for c in free)
 
 
 def tangent_dimension(I):

@@ -361,6 +361,22 @@ def test_determinism(tmp_path, capsys):
     assert rc1 == rc2 == 0 and out1 == out2
 
 
+def test_check_report_holds_no_timing(tmp_path, capsys):
+    # each criterion's seconds go to its stderr line alone, so the report on
+    # stdout and in --out is deterministic
+    path = tmp_path / "check.json"
+    rc = main(["check", "all", "--criteria", "3,4,11", "--out", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 0 and path.read_text() == captured.out
+    keys = []
+    report = json.loads(captured.out, object_pairs_hook=lambda pairs: (
+        keys.extend(k for k, _ in pairs), dict(pairs))[1])
+    assert report["schema_version"] == 1
+    assert [k for k in keys if k.endswith("seconds")] == ["budget_seconds"] * 3
+    assert len(captured.err.splitlines()) == 3
+    assert all(line.endswith(" s)") for line in captured.err.splitlines())
+
+
 def test_toric_dual_graph_export(tmp_path, capsys):
     graphs_path = str(tmp_path / "graphs.json")
     rc, payload = run(capsys, "toric", "enumerate", "--n", "3",

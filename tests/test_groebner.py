@@ -310,6 +310,23 @@ def test_cone_certificate_witness_names_cone_and_multidegree():
     assert len(witness["multidegree"]) == 3
 
 
+def test_certificates_refuse_no_generators_and_skip_zero_ones():
+    # the answers of universal_groebner_check on the same inputs
+    with pytest.raises(ValueError, match="needs an explicit ring"):
+        universal_basis_certificate([])
+    with pytest.raises(ValueError, match="needs an explicit ring"):
+        next(cone_certificates([], letter_rankings(2)))
+    gens = multiview_generators(random_config(random.Random(8), 2))
+    zero = Polynomial(gens[0].ring)
+    assert universal_basis_certificate(gens + [zero]) == (True, None)
+    assert universal_basis_certificate([zero] + gens) == (True, None)
+    # x1*x2 is the top term under x > y, and this generator lacks it; the
+    # witness indexes the caller's list, zero generator included
+    p = parse_polynomial(gens[0].ring, "x1*y2 - y1*x2")
+    assert next(cone_certificates([zero, p], letter_rankings(2))) == (
+        False, {"minor": 1})
+
+
 def test_criterion_2_certifies_every_cone_up_to_three_cameras():
     entry = checks.criterion_2_universal_basis(n_max=3)
     assert entry["pass"], entry["details"]

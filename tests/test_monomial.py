@@ -311,6 +311,19 @@ def test_shelling_trivial_and_disconnected():
         is_shelling([frozenset({0, 1}), frozenset({0})])
 
 
+@pytest.mark.parametrize("camera_perm, letter_perms", [
+    ([0, 0], [(0, 1, 2)] * 2),           # two cameras onto one
+    ([0, 1], [(0, 1, 2)]),               # a letter map short
+    ([0, 1], [(0, 1, 2)] * 3),           # a letter map too many
+    ([0, 1], [(0, 0, 2), (0, 1, 2)]),    # two letters onto one
+    ([0, 2], [(0, 1, 2)] * 2),           # a camera out of range
+])
+def test_relabel_refuses_maps_that_are_not_permutations(camera_perm,
+                                                        letter_perms):
+    with pytest.raises(ValueError, match="permutation"):
+        relabel(generic_initial_ideal(2), camera_perm, letter_perms)
+
+
 def test_relabel_and_orbits():
     M3 = generic_initial_ideal(3)
     # the generic ideal is symmetric under camera relabeling

@@ -17,7 +17,7 @@ from mvgb.polyring import (
     Ring, m_deg, m_from_pairs, m_lcm, parse_monomial,
 )
 from mvgb.tangent import (
-    _free_components, _weight_blocks, collinear_tangent_maps,
+    _exp_diff, _free_components, collinear_tangent_maps,
     tangent_dimension, verify_collinear_tangent_basis,
 )
 
@@ -35,8 +35,10 @@ def tangent_dimension_with_triples(I):
 
 def eager_free_components(I, subsets):
     """Reference for tangent._free_components: every subset through a vertex
-    is tested at once, tying and zeroing in one pass, and each product is
-    tested against every packed generator in turn."""
+    is tested at once, tying and zeroing in one pass, each product is
+    tested against every packed generator in turn, and the weight blocks
+    come from a walk over the standard monomials per generator, keyed by
+    exponent-difference tuples."""
     width = (2 * max(map(m_deg, I.gens), default=0) + 1).bit_length() + 1
     guard = sum(1 << (v * width + width - 1) for v in range(I.ring.nvars))
 
@@ -58,8 +60,12 @@ def eager_free_components(I, subsets):
         L = pack(reduce(m_lcm, A))
         for g in A:
             through.setdefault(g, []).append((A, L))
+    blocks = {}
+    for g in I.gens:
+        for m in standard_monomials(I, I.ring.multidegree(g)):
+            blocks.setdefault(_exp_diff(m, g), []).append(g)
     out = []
-    for d, members in _weight_blocks(I):
+    for d, members in blocks.items():
         shift = pack(d)
         parent = {g: g for g in members}
 
