@@ -30,7 +30,8 @@ from .polyring import (
 
 SCHEMA_VERSION = 1
 # largest multidegree entry for --u, most values in a --box table, and
-# most monomials listed over the generator multidegrees for tangent
+# for tangent most monomials listed over the generator multidegrees and
+# most generator pairs
 MAX_HILB = 10 ** 6
 
 
@@ -285,6 +286,10 @@ def cmd_tangent(args):
            {I.ring.multidegree(g) for g in I.gens}) > MAX_HILB:
         raise InputError("the generator multidegrees hold more than %d "
                          "monomials" % MAX_HILB)
+    # and the pair tables up to one lcm per pair of generators
+    if comb(len(I.gens), 2) > MAX_HILB:
+        raise InputError("%d generators make more than %d pairs"
+                         % (len(I.gens), MAX_HILB))
     _emit({"tangent_dimension": tan.tangent_dimension(I)})
     return 0
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb, prod
 
 from .monomial import MonomialIdeal, _orbits, _sort_key, multiview_profiles
@@ -120,12 +121,22 @@ def _pattern_orbits(ring, psi):
             in _orbits(n, itertools.product(*supports))]
 
 
-def _answer_orbits(ring, psi):
+@lru_cache(maxsize=None)
+def _census_tables(n):
+    """psi and the search tables of _groups for the n-camera census.  They
+    depend on n alone and are built once per n; every census shares them
+    and only reads them."""
+    ring = Ring(n)
+    psi = _census_psi(ring)
+    return psi, _groups(ring.blocks(), psi)
+
+
+def _answer_orbits(ring):
     """The group orbits of the census answers, as one array per orbit with
     a row of sorted support masks per member: the orbits of the search's
     answers through one pattern of each pattern orbit.  Their members must
     number the sum over pattern orbits of orbit size times answers."""
-    groups, supersets = _groups(ring.blocks(), psi)
+    psi, (groups, supersets) = _census_tables(ring.n)
     walked, expected = [], 0
     for pattern, size in _pattern_orbits(ring, psi):
         walked.append(_search(groups, supersets, pattern))
@@ -150,7 +161,7 @@ def monomial_ideal_census(n, classes=None):
 
     ring = Ring(n)
     nv = ring.nvars
-    orbits = _answer_orbits(ring, _census_psi(ring))
+    orbits = _answer_orbits(ring)
     # Each image is an antichain already: its generators are ordered by a
     # per-support key.  ideal_key compares the generators' places in
     # monomial order, padded with -1 so that a prefix comes first.

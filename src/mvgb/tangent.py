@@ -38,6 +38,15 @@ def _free_components(I):
     no lone test zeroes, one map each (c_g = 1 on the component), so their
     number is the dimension of Hom(I, S/I)_0.
 
+    Most pairs constrain no shift.  With m = g*x^d, L*x^d = m * h/gcd(g, h),
+    so when gcd(g, h) divides m, h divides L*x^d: the pair neither ties nor
+    zeroes at d.  A coprime pair never constrains, and is left out of the
+    tables, as is a pair of generators that are vertices of no graph.  The
+    ties are sought among the pairs inside the block alone, by a table of
+    lcms per generator.  For the lone tests, the partners of g
+    are grouped by their gcd with g, and a group whose gcd divides m is
+    skipped whole.
+
     Monomials are packed into ints, one field of w bits per variable, with
     2D < 2^(w-1) for the largest generator degree D.  Every field of
     L*x^d lies in [0, 2D], as g divides L and g*x^d is standard, so L*x^d
@@ -75,10 +84,11 @@ def _free_components(I):
             shift = (shift - e) >> width
         return tuple(d)
 
+    packed = {g: pack(g) for g in I.gens}
     by_first = {}
     for g in I.gens:
         by_first.setdefault(1 << g[0][0] * width + width - 1, []).append(
-            pack(g))
+            packed[g])
     known = {}
 
     def in_ideal(x):
@@ -91,20 +101,27 @@ def _free_components(I):
                 for bit, qs in by_first.items() if support & bit for q in qs)
         return hit
 
-    through = {g: [] for g in I.gens}
-    for g, h in itertools.combinations(I.gens, 2):
-        L = pack(m_lcm(g, h))
-        through[g].append((h, L))
-        through[h].append((g, L))
     by_degree = {}
     for g in I.gens:
         by_degree.setdefault(I.ring.multidegree(g), []).append(g)
     blocks = {}
     for u, gens in by_degree.items():
-        packed = [(g, pack(g)) for g in gens]
+        of_degree = [(g, packed[g]) for g in gens]
         for m in map(pack, standard_monomials(I, u)):
-            for g, q in packed:
+            for g, q in of_degree:
                 blocks.setdefault(m - q, []).append(g)
+    vertices = {g for members in blocks.values() for g in members}
+    # coprime pairs: no guard bit of a variable in common
+    used = {g: (q | guard) - low & guard for g, q in packed.items()}
+    lcm = {g: {} for g in I.gens}
+    partners = {g: {} for g in I.gens}   # g -> packed gcd -> [(h, L)]
+    for g, h in itertools.combinations(I.gens, 2):
+        if used[g] & used[h] and (g in vertices or h in vertices):
+            L = pack(m_lcm(g, h))
+            lcm[g][h] = lcm[h][g] = L
+            common = packed[g] + packed[h] - L
+            partners[g].setdefault(common, []).append((h, L))
+            partners[h].setdefault(common, []).append((g, L))
     for shift, members in blocks.items():
         parent = {g: g for g in members}
 
@@ -113,16 +130,24 @@ def _free_components(I):
                 parent[g] = g = parent[parent[g]]
             return g
 
-        for g in members:
-            for h, L in through[g]:
-                if h in parent and not in_ideal(L + shift):
+        for i, g in enumerate(members):
+            through = lcm[g]
+            for h in members[i + 1:]:
+                L = through.get(h)
+                if L is not None and not in_ideal(L + shift):
                     parent[find(h)] = find(g)
         comps = {}
         for g in members:
             comps.setdefault(find(g), []).append(g)
+
+        def zeroed(g):
+            top = packed[g] + shift | guard
+            return any(h not in parent and not in_ideal(L + shift)
+                       for common, group in partners[g].items()
+                       if top - common & guard != guard for h, L in group)
+
         free = [frozenset(c) for c in comps.values()
-                if all(h in parent or in_ideal(L + shift)
-                       for g in c for h, L in through[g])]
+                if not any(map(zeroed, c))]
         if free:
             d = unpack(shift)
             yield from ((d, c) for c in free)

@@ -1,7 +1,9 @@
+import itertools
 import json
 import os
 import subprocess
 import sys
+from math import comb
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -66,6 +68,21 @@ def test_tangent_rejects_too_many_block_monomials(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and not captured.out
     assert "Traceback" not in captured.err
+
+
+def test_tangent_rejects_too_many_generator_pairs(tmp_path, capsys):
+    """The 3^7 generators of multidegree (1, ..., 1) at n = 7 leave no
+    standard monomial in their multidegree, but would make C(2187, 2) =
+    2,390,391 pairs, above MAX_HILB."""
+    path = tmp_path / "cube7.txt"
+    path.write_text("".join(
+        "*".join("%s%d" % (L, c) for c, L in enumerate(word, 1)) + "\n"
+        for word in itertools.product("xyz", repeat=7)))
+    assert comb(3 ** 7, 2) > MAX_HILB
+    assert main(["tangent", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and not captured.out
+    assert "pairs" in captured.err and "Traceback" not in captured.err
 
 
 def test_gb_and_nf_and_elim(tmp_path, capsys):

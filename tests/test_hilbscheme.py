@@ -328,6 +328,23 @@ def test_each_orbit_is_opened_once(monkeypatch, call, opened):
     assert len(reads) == opened
 
 
+def test_census_tables_are_built_once_per_n(monkeypatch):
+    """psi and the _groups tables depend on n alone: repeated censuses
+    build them once per n."""
+    built = []
+
+    def groups(blocks, psi):
+        built.append(len(blocks))
+        return real(blocks, psi)
+
+    real = hilbscheme._groups
+    monkeypatch.setattr(hilbscheme, "_groups", groups)
+    hilbscheme._census_tables.cache_clear()
+    for n in (2, 2, 3, 3):
+        monomial_ideal_census(n)
+    assert built == [2, 3]
+
+
 @pytest.mark.parametrize("call", [
     lambda: census(1), lambda: census(4),
     lambda: monomial_ideal_census(4),

@@ -403,3 +403,53 @@ def test_divisor_outside_the_lowest_variable_bucket():
                              for t in ("x1*x2", "z1*z2")])
     assert tangent_dimension(I) == brute_tangent_dimension(I) == 14
     assert_matches_eager(I)
+
+
+def assert_gcd_dividing_pairs_never_constrain(I):
+    """For every vertex g at shift d, with m = g*x^d standard, and every h
+    with gcd(g, h) dividing m, lcm(g, h)*x^d lies in I.  Dense exponent
+    tuples, with a divisibility test of their own."""
+    nv = I.ring.nvars
+
+    def dense(m):
+        v = [0] * nv
+        for var, e in m:
+            v[var] = e
+        return tuple(v)
+
+    def divides(a, b):
+        return all(x <= y for x, y in zip(a, b))
+
+    gens = [dense(g) for g in I.gens]
+    for g, sparse in zip(gens, I.gens):
+        for m in map(dense, standard_monomials(I, I.ring.multidegree(sparse))):
+            for h in gens:
+                if divides(tuple(map(min, g, h)), m):
+                    shifted = tuple(l - a + b for l, a, b
+                                    in zip(map(max, g, h), g, m))
+                    assert any(divides(q, shifted) for q in gens)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_monomial_ideals())
+def test_gcd_dividing_pairs_never_constrain(I):
+    assert_gcd_dividing_pairs_never_constrain(I)
+
+
+@settings(max_examples=30, deadline=None)
+@given(high_exponent_ideals())
+def test_gcd_dividing_pairs_never_constrain_at_high_exponents(I):
+    assert_gcd_dividing_pairs_never_constrain(I)
+
+
+def test_gcd_group_skipped_by_exponents_not_supports():
+    """At the shift y1*y2/(x1*x2) the vertex x1*x2^2 goes to x2*y1*y2.  Its
+    one partner x2^2*y1 is no vertex there and zeroes it, as the lcm
+    x1*x2^2*y1 goes to x2*y1^2*y2, which is standard.  Their gcd x2^2 has
+    its variable in the support of x2*y1*y2 but does not divide it: a skip
+    that read supports alone would leave that component free."""
+    ring = Ring(2)
+    I = MonomialIdeal(ring, [parse_monomial(ring, t)
+                             for t in ("x1*x2^2", "x2^2*y1")])
+    assert tangent_dimension(I) == brute_tangent_dimension(I) == 7
+    assert_matches_eager(I)
